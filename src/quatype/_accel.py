@@ -1,189 +1,63 @@
-"""Dense product kernels for the hot verification loops.
+"""Dense blade-pair product kernel for the hot verification loops.
 
 A sparse multivector with machine-sized coefficients is flattened to
-(blade, value) arrays and the geometric/exterior product scatter-adds all
-blade-pair contributions into a dense length-2^n output.  The kernels come
-in a numba flavor and a pure-numpy flavor; the environment variable
-``QUATYPE_BACKEND`` picks one at import time:
+(blade, value) arrays, and the geometric or exterior product scatter-adds
+every blade-pair contribution into a dense length-2^n output.
 
-    numba   use the @njit kernels (default when numba is importable)
-    numpy   use the vectorized numpy fallback
-    python  disable dense dispatch entirely (pure sparse-dict arithmetic)
+Blades are bitmaps over the n generators (Dorst, Fontijne and Mann,
+*Geometric Algebra for Computer Science*, ch. 19).  The sign of e_a e_b is
+(-1)^s, where s counts the pairs (i in a, j in b) with i > j plus the
+common generators that square to -1.  Both terms are linear in b over
+GF(2), so s is odd exactly when popcount(w[a] & b) is, with
 
-Both dense flavors are also callable explicitly (``backend=`` argument) so
-tests and the benchmark can compare them regardless of the environment.
+    w[a] = (a & neg_mask) ^ L(a),  bit j of L(a) = parity of popcount(a >> (j+1)).
+
+``w`` is one int64 vector of 2^n entries per signature, built on first use
+and cached.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
+from functools import lru_cache
 
 import numpy as np
 
-ENV_VAR = "QUATYPE_BACKEND"
-BACKENDS = ("numba", "numpy", "python")
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    njit = None
-    HAVE_NUMBA = False
+# blade pairs per chunk of rows: bounds the temporaries at n = 11 and 12,
+# and at 512 KB per int64 temporary they stay in cache (chunks of 2^20
+# pairs ran 1.5x slower at n = 12)
+CHUNK_PAIRS = 1 << 16
 
 
-def _select_backend() -> str:
-    want = os.environ.get(ENV_VAR, "").strip().lower()
-    if want and want not in BACKENDS:
-        raise ValueError(f"{ENV_VAR} must be one of {BACKENDS}, got {want!r}")
-    if want in ("numpy", "python"):
-        return want
-    if HAVE_NUMBA:
-        return "numba"
-    if want == "numba":
-        raise ImportError("QUATYPE_BACKEND=numba but numba is not installed")
-    return "numpy"
+@lru_cache(maxsize=64)
+def sign_form(n: int, neg_mask: int) -> np.ndarray:
+    """The vector w of the sign rule for Cl with n generators and ``neg_mask``."""
+    a = np.arange(1 << n, dtype=np.int64)
+    w = a & neg_mask
+    for j in range(n):
+        w ^= (np.bitwise_count(a >> (j + 1)).astype(np.int64) & 1) << j
+    w.flags.writeable = False
+    return w
 
 
-BACKEND = _select_backend()
-
-
-@contextmanager
-def force_backend(name: str):
-    """Temporarily override the selected backend (benchmarks, tests)."""
-    global BACKEND
-    if name not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, got {name!r}")
-    previous = BACKEND
-    BACKEND = name
-    try:
-        yield
-    finally:
-        BACKEND = previous
-
-
-# ---------------------------------------------------------------------------
-# numba kernels
-#
-# The reordering sign of e_A e_B is (-1)^s where s counts pairs (i in A,
-# j in B) with j < i; shifting A down one bit at a time and popcounting the
-# overlap with B enumerates exactly those pairs.  Generators that appear in
-# both blades contribute their metric square, i.e. one extra flip per common
-# generator squaring to -1 (the neg_mask bits).
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _geo_accum_numba(ia, va, ib, vb, neg_mask, out):  # pragma: no cover - jit
-        for i in range(ia.shape[0]):
-            a = ia[i]
-            x = va[i]
-            for j in range(ib.shape[0]):
-                b = ib[j]
-                s = 0
-                t = a >> 1
-                while t:
-                    u = t & b
-                    while u:
-                        u &= u - 1
-                        s += 1
-                    t >>= 1
-                u = a & b & neg_mask
-                while u:
-                    u &= u - 1
-                    s += 1
-                if s & 1:
-                    out[a ^ b] -= x * vb[j]
-                else:
-                    out[a ^ b] += x * vb[j]
-
-    @njit(cache=True)
-    def _ext_accum_numba(ia, va, ib, vb, out):  # pragma: no cover - jit
-        for i in range(ia.shape[0]):
-            a = ia[i]
-            x = va[i]
-            for j in range(ib.shape[0]):
-                b = ib[j]
-                if a & b:
-                    continue
-                s = 0
-                t = a >> 1
-                while t:
-                    u = t & b
-                    while u:
-                        u &= u - 1
-                        s += 1
-                    t >>= 1
-                if s & 1:
-                    out[a | b] -= x * vb[j]
-                else:
-                    out[a | b] += x * vb[j]
-
-
-# ---------------------------------------------------------------------------
-# numpy fallback
-
-
-def _popcount(arr: np.ndarray) -> np.ndarray:
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(arr).astype(np.int64)
-    # SWAR fallback for numpy < 2.0; blades use at most 12 bits
-    x = arr.astype(np.int64)
-    x = x - ((x >> 1) & 0x5555555555555555)
-    x = (x & 0x3333333333333333) + ((x >> 2) & 0x3333333333333333)
-    x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0F
-    return (x * 0x0101010101010101) >> 56
-
-
-def _pair_parity(A: np.ndarray, B: np.ndarray, neg_mask: int) -> np.ndarray:
-    swaps = _popcount(A & B & neg_mask)
-    t = A >> 1
-    while t.any():
-        swaps = swaps + _popcount(t & B)
-        t = t >> 1
-    return swaps & 1
-
-
-def _geo_accum_numpy(ia, va, ib, vb, neg_mask, out):
-    A = ia[:, None]
-    B = ib[None, :]
-    prod = va[:, None] * vb[None, :]
-    prod = np.where(_pair_parity(A, B, neg_mask), -prod, prod)
-    np.add.at(out, (A ^ B).ravel(), prod.ravel())
-
-
-def _ext_accum_numpy(ia, va, ib, vb, out):
-    A = ia[:, None]
-    B = ib[None, :]
-    keep = (A & B) == 0
-    prod = va[:, None] * vb[None, :]
-    prod = np.where(_pair_parity(A, B, 0), -prod, prod)
-    prod = np.where(keep, prod, 0)
-    np.add.at(out, (A | B).ravel(), prod.ravel())
-
-
-# ---------------------------------------------------------------------------
-# public entry point
-
-
-def product_dense(ia, va, ib, vb, neg_mask, n, exterior=False, backend=None):
+def product_dense(ia, va, ib, vb, neg_mask, n, exterior=False):
     """Dense blade-pair product: returns a length-2^n coefficient array.
 
     ``ia``/``ib`` are int64 blade arrays, ``va``/``vb`` matching value arrays
     (int64 or float64).  Callers are responsible for keeping int64 inputs
-    small enough that no accumulated coefficient overflows.
+    small enough that no accumulated coefficient overflows.  Pairs are
+    accumulated in row-major order, ``CHUNK_PAIRS`` pairs at a time.
     """
-    which = backend or BACKEND
     out = np.zeros(1 << n, dtype=va.dtype)
-    if which == "numba" and HAVE_NUMBA:
+    wa = sign_form(n, neg_mask)[ia]
+    rows = max(1, CHUNK_PAIRS // max(1, len(ib)))
+    for lo in range(0, len(ia), rows):
+        a = ia[lo : lo + rows, None]
+        odd = np.bitwise_count(wa[lo : lo + rows, None] & ib) & 1
+        # (+-1 * va) * vb is exact in float64 too, so it equals +-(va * vb)
+        prod = np.subtract(1, odd << 1, dtype=out.dtype)
+        prod *= va[lo : lo + rows, None]
+        prod *= vb
         if exterior:
-            _ext_accum_numba(ia, va, ib, vb, out)
-        else:
-            _geo_accum_numba(ia, va, ib, vb, np.int64(neg_mask), out)
-    else:
-        if exterior:
-            _ext_accum_numpy(ia, va, ib, vb, out)
-        else:
-            _geo_accum_numpy(ia, va, ib, vb, neg_mask, out)
+            prod[(a & ib) != 0] = 0
+        np.add.at(out, (a ^ ib).ravel(), prod.ravel())
     return out

@@ -7,10 +7,11 @@ denominator is 1 and :class:`fractions.Fraction` otherwise, so identities
 proved over the rationals can be asserted with ``==``.
 
 All values are immutable after construction and every operation is a pure
-function.  Products of integer multivectors are routed through the dense
-kernels in :mod:`quatype._accel` when that is profitable and provably safe
-against int64 overflow; the sparse path is the reference implementation and
-the only one that handles Fraction coefficients.
+function.  Products of at least ``_DENSE_MIN_PAIRS`` blade pairs run on the
+dense kernel in :mod:`quatype._accel`: float64 for approximate operands, and
+int64 for integer operands whose coefficient bound is provably safe against
+int64 overflow.  The sparse path is the reference implementation and the
+only one that handles Fraction coefficients and big integers.
 """
 
 from __future__ import annotations
@@ -194,15 +195,13 @@ def _mul_dense(ca: dict, cb: dict, sig: Signature, exterior: bool, dtype) -> dic
     vb = np.fromiter(cb.values(), dtype, len(cb))
     out = _accel.product_dense(ia, va, ib, vb, sig.neg_mask, sig.n, exterior=exterior)
     nz = np.flatnonzero(out)
-    if dtype is np.int64:
-        return {int(k): int(out[k]) for k in nz}
-    return {int(k): float(out[k]) for k in nz}
+    return dict(zip(nz.tolist(), out[nz].tolist()))
 
 
 def _mul_coeffs(ca: dict, cb: dict, sig: Signature, exterior: bool, approx: bool) -> dict:
     if not ca or not cb:
         return {}
-    if _accel.BACKEND != "python" and len(ca) * len(cb) >= _DENSE_MIN_PAIRS:
+    if len(ca) * len(cb) >= _DENSE_MIN_PAIRS:
         if approx:
             return _mul_dense(ca, cb, sig, exterior, np.float64)
         ma = _int_bound(ca)

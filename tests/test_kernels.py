@@ -1,13 +1,13 @@
-"""Cross-checks between the dense kernels and the sparse reference path."""
+"""Cross-checks between the dense kernel and the sparse reference path."""
 
 import random
 
 import numpy as np
 import pytest
 
-from quatype import _accel
+from quatype import _accel, algebra
 from quatype.algebra import Multivector, Signature, random_multivector
-from quatype.algebra import _mul_dense, _mul_sparse
+from quatype.algebra import _mul_sparse, blade_product, ext_blade_product
 
 
 def _arrays(coeffs, dtype):
@@ -16,12 +16,8 @@ def _arrays(coeffs, dtype):
     return ia, va
 
 
-BACKENDS = ["numpy"] + (["numba"] if _accel.HAVE_NUMBA else [])
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("exterior", [False, True])
-def test_dense_matches_sparse_int(backend, exterior):
+def test_dense_matches_sparse_int(exterior):
     rng = random.Random(42)
     for sig in [Signature(2, 1), Signature(3, 2), Signature(4, 2)]:
         for _ in range(25):
@@ -29,13 +25,12 @@ def test_dense_matches_sparse_int(backend, exterior):
             v = random_multivector(sig, rng)
             ia, va = _arrays(u._coeffs, np.int64)
             ib, vb = _arrays(v._coeffs, np.int64)
-            out = _accel.product_dense(ia, va, ib, vb, sig.neg_mask, sig.n, exterior=exterior, backend=backend)
+            out = _accel.product_dense(ia, va, ib, vb, sig.neg_mask, sig.n, exterior=exterior)
             dense = {int(k): int(out[k]) for k in np.flatnonzero(out)}
             assert dense == _mul_sparse(u._coeffs, v._coeffs, sig.neg_mask, exterior)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_dense_matches_sparse_float(backend):
+def test_dense_matches_sparse_float():
     rng = random.Random(7)
     sig = Signature(3, 1)
     for _ in range(20):
@@ -43,7 +38,7 @@ def test_dense_matches_sparse_float(backend):
         v = {b: float(c) for b, c in random_multivector(sig, rng)._coeffs.items()}
         ia, va = _arrays(u, np.float64)
         ib, vb = _arrays(v, np.float64)
-        out = _accel.product_dense(ia, va, ib, vb, sig.neg_mask, sig.n, backend=backend)
+        out = _accel.product_dense(ia, va, ib, vb, sig.neg_mask, sig.n)
         dense = {int(k): float(out[k]) for k in np.flatnonzero(out)}
         sparse = _mul_sparse(u, v, sig.neg_mask, False)
         assert set(dense) == set(sparse)
@@ -52,18 +47,55 @@ def test_dense_matches_sparse_float(backend):
             assert dense[b] == pytest.approx(sparse[b], rel=1e-12, abs=1e-12)
 
 
-@pytest.mark.parametrize("forced", ["numba", "numpy", "python"])
-def test_products_identical_across_backends(forced, monkeypatch):
-    if forced == "numba" and not _accel.HAVE_NUMBA:
-        pytest.skip("numba unavailable")
+def test_kernel_matches_blade_products_exhaustively():
+    # one row per call: b -> a ^ b is a bijection, so the weight b + 1 lands
+    # alone in its target slot and carries the kernel's sign for (a, b)
+    for n in range(1, 7):
+        blades = np.arange(1 << n, dtype=np.int64)
+        weights = blades + 1
+        for p in range(n + 1):
+            sig = Signature(p, n - p)
+            for a in range(1 << n):
+                one = np.array([a], dtype=np.int64)
+                geo = _accel.product_dense(one, np.ones(1, np.int64), blades, weights, sig.neg_mask, n)
+                ext = _accel.product_dense(one, np.ones(1, np.int64), blades, weights, sig.neg_mask, n, exterior=True)
+                for b in range(1 << n):
+                    sign, target = blade_product(sig, a, b)
+                    assert geo[target] == sign * (b + 1), (sig, a, b)
+                    sign, target = ext_blade_product(a, b)
+                    assert ext[a ^ b] == sign * (b + 1), (sig, a, b)
+
+
+@pytest.mark.parametrize("exterior", [False, True])
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+def test_chunked_kernel_byte_equal(dtype, exterior, monkeypatch):
+    rng = np.random.default_rng(11)
+    n, neg_mask = 6, 0b110000
+    ia = rng.permutation(1 << n)[:45].astype(np.int64)
+    ib = rng.permutation(1 << n)[:37].astype(np.int64)
+    if dtype is np.int64:
+        va, vb = rng.integers(-9, 10, 45), rng.integers(-9, 10, 37)
+    else:
+        va, vb = rng.standard_normal(45), rng.standard_normal(37)
+    monkeypatch.setattr(_accel, "CHUNK_PAIRS", 1 << 30)
+    whole = _accel.product_dense(ia, va, ib, vb, neg_mask, n, exterior=exterior)
+    # 37 pairs a row: chunks of 1, 1, 2 (short last chunk) and 3 rows
+    for chunk in (1, 5, 80, 111):
+        monkeypatch.setattr(_accel, "CHUNK_PAIRS", chunk)
+        chunked = _accel.product_dense(ia, va, ib, vb, neg_mask, n, exterior=exterior)
+        assert chunked.dtype == whole.dtype
+        assert chunked.tobytes() == whole.tobytes(), chunk
+
+
+def test_products_identical_dense_and_sparse(monkeypatch):
     rng = random.Random(3)
     sig = Signature(3, 3)
     pairs = [(random_multivector(sig, rng), random_multivector(sig, rng)) for _ in range(10)]
-    baseline = [(u * v, u ^ v) for u, v in pairs]
-    monkeypatch.setattr(_accel, "BACKEND", forced)
-    for (u, v), (gp, wp) in zip(pairs, baseline):
-        assert u * v == gp
-        assert (u ^ v) == wp
+    results = {}
+    for path, threshold in (("dense", 0), ("sparse", 1 << 62)):
+        monkeypatch.setattr(algebra, "_DENSE_MIN_PAIRS", threshold)
+        results[path] = [(u * v, u ^ v) for u, v in pairs]
+    assert results["dense"] == results["sparse"]
 
 
 def test_large_coefficients_fall_back_to_exact():
@@ -78,12 +110,3 @@ def test_large_coefficients_fall_back_to_exact():
     assert (big * e1) * (big * e1) == Multivector.scalar(sig, big * big)
     assert w == Multivector(sig, _mul_sparse(u._coeffs, v._coeffs, sig.neg_mask, False))
     assert max(abs(c) for _, c in w.terms()) >= big * big
-
-
-def test_force_backend_context():
-    with _accel.force_backend("python"):
-        assert _accel.BACKEND == "python"
-    assert _accel.BACKEND in _accel.BACKENDS
-    with pytest.raises(ValueError):
-        with _accel.force_backend("cuda"):
-            pass
