@@ -87,15 +87,19 @@ def test_chunked_kernel_byte_equal(dtype, exterior, monkeypatch):
         assert chunked.tobytes() == whole.tobytes(), chunk
 
 
-def test_products_identical_dense_and_sparse(monkeypatch):
+# "numpy" forces every product onto the dense kernel, "python" onto the sparse
+# dict path; both must agree with the sparse reference term for term
+@pytest.mark.parametrize("forced", ["numpy", "python"])
+def test_products_identical_across_backends(forced, monkeypatch):
     rng = random.Random(3)
     sig = Signature(3, 3)
     pairs = [(random_multivector(sig, rng), random_multivector(sig, rng)) for _ in range(10)]
-    results = {}
-    for path, threshold in (("dense", 0), ("sparse", 1 << 62)):
-        monkeypatch.setattr(algebra, "_DENSE_MIN_PAIRS", threshold)
-        results[path] = [(u * v, u ^ v) for u, v in pairs]
-    assert results["dense"] == results["sparse"]
+    threshold = {"numpy": 0, "python": 1 << 62}[forced]
+    monkeypatch.setattr(algebra, "_DENSE_MIN_PAIRS", threshold)
+    for u, v in pairs:
+        for exterior, product in ((False, u * v), (True, u ^ v)):
+            reference = _mul_sparse(u._coeffs, v._coeffs, sig.neg_mask, exterior)
+            assert product == Multivector(sig, reference)
 
 
 def test_large_coefficients_fall_back_to_exact():
