@@ -1,22 +1,33 @@
 """Exact multivector arithmetic in the real Clifford algebras Cl(p,q).
 
 A basis blade is a bit set over the n = p+q generators (bit i-1 stands for
-the i-th generator, 1-based); a multivector is a sparse map from blade to an
-exact rational coefficient.  Coefficients are Python ints whenever the
-denominator is 1 and :class:`fractions.Fraction` otherwise, so identities
-proved over the rationals can be asserted with ``==``.
+the i-th generator, 1-based); a multivector is a sparse map from blade to a
+coefficient.  :class:`Multivector` holds exact rationals: Python ints
+whenever the denominator is 1 and :class:`fractions.Fraction` otherwise, so
+identities proved over the rationals can be asserted with ``==``.
+:class:`ApproxMultivector` holds floats for the Clifford power series.  Both
+share one class body and differ only in their coefficient domain.
 
 All values are immutable after construction and every operation is a pure
-function.  Products of at least ``_DENSE_MIN_PAIRS`` blade pairs run on the
-dense kernel in :mod:`quatype._accel`: float64 for approximate operands, and
-int64 for integer operands whose coefficient bound is provably safe against
-int64 overflow.  The sparse path is the reference implementation and the
-only one that handles Fraction coefficients and big integers.
+function.  Validation happens at the public boundary only: ``__init__``,
+:func:`from_obj`, :func:`approx_from_obj`, ``from_exact`` and multiplication
+by a scalar check every blade and coefficient.  Arithmetic results,
+projections and the typed samplers are built by the trusted ``_make`` and
+keep two invariants without re-checking: no coefficient is zero, and every
+integral exact coefficient is an ``int`` (so the next product can take the
+int64 kernel).
+
+Products of at least ``_DENSE_MIN_PAIRS`` blade pairs run on the dense
+kernel in :mod:`quatype._accel`: float64 for approximate operands, and int64
+for integer operands whose coefficient bound is provably safe against int64
+overflow.  The sparse path is the reference implementation and the only one
+that handles Fraction coefficients and big integers.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -156,6 +167,11 @@ def _as_coeff(value) -> Coeff:
     raise TypeError(f"exact coefficients must be int or Fraction, got {type(value).__name__}")
 
 
+def _clean(coeffs: dict) -> dict:
+    """Drop zero coefficients and turn integral Fractions into ints."""
+    return {k: int(v) if type(v) is Fraction and v.denominator == 1 else v for k, v in coeffs.items() if v}
+
+
 def _mul_sparse(ca: dict, cb: dict, neg_mask: int, exterior: bool) -> dict:
     out: dict = {}
     for a, x in ca.items():
@@ -172,7 +188,7 @@ def _mul_sparse(ca: dict, cb: dict, neg_mask: int, exterior: bool) -> dict:
             v = x * y
             cur = out.get(key, 0)
             out[key] = cur - v if s & 1 else cur + v
-    return {k: v for k, v in out.items() if v}
+    return _clean(out)
 
 
 def _int_bound(coeffs: dict) -> int | None:
@@ -215,48 +231,54 @@ def _mul_coeffs(ca: dict, cb: dict, sig: Signature, exterior: bool, approx: bool
 # multivectors
 
 
-class Multivector:
-    """Sparse exact multivector; zero coefficients are never stored."""
+class _MultivectorBase:
+    """Sparse multivector over one coefficient domain; zero coefficients are never stored.
+
+    Subclasses fix the domain: ``_coeff`` validates and normalises one
+    outside coefficient, ``_one`` and ``_zero`` are its unit and zero,
+    ``_scalar_types`` are the scalars ``*`` accepts and ``_approx`` selects
+    the float64 dense kernel.
+    """
 
     __slots__ = ("sig", "_coeffs")
 
-    def __init__(self, sig: Signature, coeffs: Mapping[int, Coeff] | Iterable[tuple[int, Coeff]] = ()):
+    def __init__(self, sig: Signature, coeffs: Mapping | Iterable[tuple] = ()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
+        coerce = self._coeff
         limit = 1 << sig.n
-        acc: dict[int, Coeff] = {}
+        acc: dict = {}
         for blade, value in items:
-            blade = int(blade)
+            blade = operator.index(blade)
             if not 0 <= blade < limit:
                 raise ValueError(f"blade {blade} outside {sig}")
-            acc[blade] = acc.get(blade, 0) + _as_coeff(value)
+            acc[blade] = acc.get(blade, 0) + coerce(value)
         self.sig = sig
-        self._coeffs = {k: _as_coeff(v) for k, v in acc.items() if v}
+        self._coeffs = {k: coerce(v) for k, v in acc.items() if v}
+
+    @classmethod
+    def _make(cls, sig: Signature, coeffs: dict):
+        """Trusted construction: ``coeffs`` already keeps both invariants."""
+        u = object.__new__(cls)
+        u.sig = sig
+        u._coeffs = coeffs
+        return u
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, sig: Signature) -> "Multivector":
-        return cls(sig)
+    def zero(cls, sig: Signature):
+        return cls._make(sig, {})
 
     @classmethod
-    def scalar(cls, sig: Signature, value: Coeff) -> "Multivector":
+    def scalar(cls, sig: Signature, value):
         return cls(sig, {0: value})
-
-    @classmethod
-    def blade(cls, sig: Signature, indices: Iterable[int], value: Coeff = 1) -> "Multivector":
-        return cls(sig, {blade_bits(indices): value})
-
-    @classmethod
-    def generator(cls, sig: Signature, a: int) -> "Multivector":
-        sig.metric(a)  # validates the index
-        return cls(sig, {1 << (a - 1): 1})
 
     # -- inspection --------------------------------------------------------
 
-    def coefficient(self, blade: int) -> Coeff:
-        return self._coeffs.get(blade, 0)
+    def coefficient(self, blade: int):
+        return self._coeffs.get(blade, self._zero)
 
-    def terms(self) -> list[tuple[int, Coeff]]:
+    def terms(self) -> list[tuple]:
         """(blade, coefficient) pairs sorted by grade then blade bits."""
         return sorted(self._coeffs.items(), key=lambda kv: (blade_grade(kv[0]), kv[0]))
 
@@ -264,7 +286,7 @@ class Multivector:
         return frozenset(blade_grade(b) for b in self._coeffs)
 
     def max_abs(self):
-        return max((abs(v) for v in self._coeffs.values()), default=0)
+        return max((abs(v) for v in self._coeffs.values()), default=self._zero)
 
     def __len__(self) -> int:
         return len(self._coeffs)
@@ -273,7 +295,7 @@ class Multivector:
         return bool(self._coeffs)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Multivector):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self.sig == other.sig and self._coeffs == other._coeffs
 
@@ -283,57 +305,56 @@ class Multivector:
         return format_multivector(self)
 
     def __repr__(self) -> str:
-        return f"Multivector({self.sig}, {format_multivector(self)})"
+        return f"{type(self).__name__}({self.sig}, {format_multivector(self)})"
 
     # -- arithmetic --------------------------------------------------------
 
-    def _require_same_sig(self, other: "Multivector") -> None:
+    def _require_same_sig(self, other) -> None:
         if self.sig != other.sig:
             raise SignatureMismatchError(f"cannot combine {self.sig} with {other.sig}")
 
-    def __add__(self, other: "Multivector") -> "Multivector":
-        if not isinstance(other, Multivector):
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
             return NotImplemented
         self._require_same_sig(other)
         out = dict(self._coeffs)
         for b, v in other._coeffs.items():
             out[b] = out.get(b, 0) + v
-        return Multivector(self.sig, out)
+        return self._make(self.sig, _clean(out))
 
-    def __sub__(self, other: "Multivector") -> "Multivector":
-        if not isinstance(other, Multivector):
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self + (-other)
 
-    def __neg__(self) -> "Multivector":
-        return Multivector(self.sig, {b: -v for b, v in self._coeffs.items()})
+    def __neg__(self):
+        return self._make(self.sig, {b: -v for b, v in self._coeffs.items()})
 
     def __mul__(self, other):
-        if isinstance(other, Multivector):
+        if isinstance(other, type(self)):
             self._require_same_sig(other)
-            return Multivector(self.sig, _mul_coeffs(self._coeffs, other._coeffs, self.sig, False, False))
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return Multivector.zero(self.sig)
-            return Multivector(self.sig, {b: v * other for b, v in self._coeffs.items()})
+            return self._make(self.sig, _mul_coeffs(self._coeffs, other._coeffs, self.sig, False, self._approx))
+        if isinstance(other, self._scalar_types):
+            f = self._coeff(other)
+            return self._make(self.sig, _clean({b: v * f for b, v in self._coeffs.items()}))
         return NotImplemented
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, self._scalar_types):
             return self * other
         return NotImplemented
 
-    def __xor__(self, other: "Multivector") -> "Multivector":
+    def __xor__(self, other):
         """Exterior (wedge) product.  Binds loosely in Python: parenthesize."""
-        if not isinstance(other, Multivector):
+        if not isinstance(other, type(self)):
             return NotImplemented
         self._require_same_sig(other)
-        return Multivector(self.sig, _mul_coeffs(self._coeffs, other._coeffs, self.sig, True, False))
+        return self._make(self.sig, _mul_coeffs(self._coeffs, other._coeffs, self.sig, True, self._approx))
 
-    def __pow__(self, m: int) -> "Multivector":
+    def __pow__(self, m: int):
         if not isinstance(m, int) or m < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = Multivector.scalar(self.sig, 1)
+        result = self._make(self.sig, {0: self._one})
         base = self
         while m:
             if m & 1:
@@ -342,6 +363,45 @@ class Multivector:
             if m:
                 base = base * base
         return result
+
+
+class Multivector(_MultivectorBase):
+    """Exact multivector: int and :class:`fractions.Fraction` coefficients."""
+
+    __slots__ = ()
+    _coeff = staticmethod(_as_coeff)
+    _one = 1
+    _zero = 0
+    _scalar_types = (int, Fraction)
+    _approx = False
+
+    @classmethod
+    def blade(cls, sig: Signature, indices: Iterable[int], value: Coeff = 1) -> "Multivector":
+        return cls(sig, {blade_bits(indices): value})
+
+    @classmethod
+    def generator(cls, sig: Signature, a: int) -> "Multivector":
+        sig.metric(a)  # validates the index
+        return cls._make(sig, {1 << (a - 1): 1})
+
+
+class ApproxMultivector(_MultivectorBase):
+    """Float-coefficient multivector, used by the Clifford power series.
+
+    A distinct type from :class:`Multivector`: the two never mix in
+    arithmetic and never compare equal.
+    """
+
+    __slots__ = ()
+    _coeff = staticmethod(float)
+    _one = 1.0
+    _zero = 0.0
+    _scalar_types = (int, float, Fraction)
+    _approx = True
+
+    @classmethod
+    def from_exact(cls, u: Multivector) -> "ApproxMultivector":
+        return cls(u.sig, {b: float(v) for b, v in u._coeffs.items()})
 
 
 def geo_mul(u: Multivector, v: Multivector) -> Multivector:
@@ -365,7 +425,7 @@ def grade_project(u: Multivector, k: int) -> Multivector:
     """Keep only the grade-k part of u."""
     if not 0 <= k <= u.sig.n:
         raise ValueError(f"grade {k} outside 0..{u.sig.n}")
-    return Multivector(u.sig, {b: v for b, v in u._coeffs.items() if blade_grade(b) == k})
+    return u._make(u.sig, {b: v for b, v in u._coeffs.items() if blade_grade(b) == k})
 
 
 def parity_split(u: Multivector) -> tuple[Multivector, Multivector]:
@@ -374,130 +434,14 @@ def parity_split(u: Multivector) -> tuple[Multivector, Multivector]:
     odd: dict = {}
     for b, v in u._coeffs.items():
         (odd if blade_grade(b) & 1 else even)[b] = v
-    return Multivector(u.sig, even), Multivector(u.sig, odd)
+    return u._make(u.sig, even), u._make(u.sig, odd)
 
 
 def qtype_project(u: Multivector, t: int) -> Multivector:
     """Keep the grades congruent to t mod 4; the four projections sum to u."""
     if t not in (0, 1, 2, 3):
         raise ValueError(f"residue class must be 0..3, got {t}")
-    return Multivector(u.sig, {b: v for b, v in u._coeffs.items() if blade_grade(b) % 4 == t})
-
-
-# ---------------------------------------------------------------------------
-# approximate (float) multivectors for the power-series operations
-
-
-class ApproxMultivector:
-    """Float-coefficient twin of :class:`Multivector`, used by series code.
-
-    Shares the blade encoding and product machinery; the exact class never
-    consumes these.
-    """
-
-    __slots__ = ("sig", "_coeffs")
-
-    def __init__(self, sig: Signature, coeffs: Mapping[int, float] | Iterable[tuple[int, float]] = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        limit = 1 << sig.n
-        acc: dict[int, float] = {}
-        for blade, value in items:
-            blade = int(blade)
-            if not 0 <= blade < limit:
-                raise ValueError(f"blade {blade} outside {sig}")
-            acc[blade] = acc.get(blade, 0.0) + float(value)
-        self.sig = sig
-        self._coeffs = {k: v for k, v in acc.items() if v != 0.0}
-
-    @classmethod
-    def zero(cls, sig: Signature) -> "ApproxMultivector":
-        return cls(sig)
-
-    @classmethod
-    def scalar(cls, sig: Signature, value: float) -> "ApproxMultivector":
-        return cls(sig, {0: float(value)})
-
-    @classmethod
-    def from_exact(cls, u: Multivector) -> "ApproxMultivector":
-        return cls(u.sig, {b: float(v) for b, v in u._coeffs.items()})
-
-    def coefficient(self, blade: int) -> float:
-        return self._coeffs.get(blade, 0.0)
-
-    def terms(self) -> list[tuple[int, float]]:
-        return sorted(self._coeffs.items(), key=lambda kv: (blade_grade(kv[0]), kv[0]))
-
-    def grades(self) -> frozenset[int]:
-        return frozenset(blade_grade(b) for b in self._coeffs)
-
-    def max_abs(self) -> float:
-        return max((abs(v) for v in self._coeffs.values()), default=0.0)
-
-    def __len__(self) -> int:
-        return len(self._coeffs)
-
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
-
-    def __str__(self) -> str:
-        return format_multivector(self)
-
-    def __repr__(self) -> str:
-        return f"ApproxMultivector({self.sig}, {format_multivector(self)})"
-
-    def _require_same_sig(self, other) -> None:
-        if self.sig != other.sig:
-            raise SignatureMismatchError(f"cannot combine {self.sig} with {other.sig}")
-
-    def __add__(self, other: "ApproxMultivector") -> "ApproxMultivector":
-        if not isinstance(other, ApproxMultivector):
-            return NotImplemented
-        self._require_same_sig(other)
-        out = dict(self._coeffs)
-        for b, v in other._coeffs.items():
-            out[b] = out.get(b, 0.0) + v
-        return ApproxMultivector(self.sig, out)
-
-    def __sub__(self, other: "ApproxMultivector") -> "ApproxMultivector":
-        if not isinstance(other, ApproxMultivector):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "ApproxMultivector":
-        return ApproxMultivector(self.sig, {b: -v for b, v in self._coeffs.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, ApproxMultivector):
-            self._require_same_sig(other)
-            return ApproxMultivector(self.sig, _mul_coeffs(self._coeffs, other._coeffs, self.sig, False, True))
-        if isinstance(other, (int, float, Fraction)):
-            f = float(other)
-            return ApproxMultivector(self.sig, {b: v * f for b, v in self._coeffs.items()})
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, Fraction)):
-            return self * other
-        return NotImplemented
-
-    def __xor__(self, other: "ApproxMultivector") -> "ApproxMultivector":
-        if not isinstance(other, ApproxMultivector):
-            return NotImplemented
-        self._require_same_sig(other)
-        return ApproxMultivector(self.sig, _mul_coeffs(self._coeffs, other._coeffs, self.sig, True, True))
-
-    def __pow__(self, m: int) -> "ApproxMultivector":
-        if not isinstance(m, int) or m < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = ApproxMultivector.scalar(self.sig, 1.0)
-        base = self
-        while m:
-            if m & 1:
-                result = result * base
-            m >>= 1
-            if m:
-                base = base * base
-        return result
+    return u._make(u.sig, {b: v for b, v in u._coeffs.items() if blade_grade(b) % 4 == t})
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +483,7 @@ def random_multivector(
     if ensure_nonzero and not coeffs and blades:
         b = rng.choice(blades)
         coeffs[b] = rng.randint(1, max(hi, 1)) * rng.choice((-1, 1))
-    return Multivector(sig, coeffs)
+    return Multivector._make(sig, coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -39,12 +39,15 @@ from .qtypes import (
     InfeasibleDeclarationError,
     QType,
     feasible_residues,
+    infer_ext_product_set,
     infer_kfold_set,
+    infer_power_set,
     infer_product_set,
     qtype_of,
     qtype_of_approx,
     random_of_rank,
     random_of_type,
+    series_type,
 )
 
 FN_NAMES = tuple(SERIES_NAMES) + tuple("w" + n for n in SERIES_NAMES)
@@ -474,67 +477,6 @@ def _flatten_geo(e: Expr) -> list[Expr]:
     return [e]
 
 
-def _sumset(a: QType, b: QType) -> QType:
-    return QType((x + y) % 4 for x in a for y in b)
-
-
-def _power_types_by_parity(t: QType) -> tuple[QType, QType]:
-    """Types reachable by even / odd Clifford powers of an element of type t.
-
-    A power is a palindromic product, hence half its own k-fold
-    anticommutator, so each exponent m >= 2 contributes the anticommutator
-    type set of m copies of t; m = 0 contributes {0} and m = 1 contributes t.
-    The residue-state iteration is periodic, so the unions stabilize fast.
-    """
-    even: QType = QType((0,))
-    odd: QType = QType(t)
-    if not t:
-        return even, odd
-    states = {((r % 4), r & 1) for r in t}
-    parity = 1
-    seen = set()
-    while (parity, frozenset(states)) not in seen:
-        seen.add((parity, frozenset(states)))
-        states = {((s + r) % 4, (c + (r & 1)) % 4) for s, c in states for r in t}
-        parity ^= 1
-        anti = QType(
-            (total + 1 - (-1 if (odd_count * (odd_count - 1) // 2) & 1 else 1)) % 4
-            for total, odd_count in states
-        )
-        if parity:
-            odd |= anti
-        else:
-            even |= anti
-    return even, odd
-
-
-def _fn_type(fn: Fn, operand_type: QType) -> QType:
-    base = fn.series
-    if fn.exterior:
-        # wedge products add grades, so m factors of type t land on m-fold sums
-        even: QType = QType((0,))
-        odd: QType = QType()
-        cur: QType = QType((0,))
-        parity = 0
-        seen = set()
-        if operand_type:
-            while (parity, cur) not in seen:
-                seen.add((parity, cur))
-                cur = _sumset(cur, operand_type)
-                parity ^= 1
-                if parity:
-                    odd |= cur
-                else:
-                    even |= cur
-    else:
-        even, odd = _power_types_by_parity(operand_type)
-    if base == "exp":
-        return even | odd
-    if base in ("sin", "sinh"):
-        return odd
-    return even
-
-
 def infer(e: Expr) -> QType:
     """Quaternion type guaranteed to contain the value of the expression."""
     if isinstance(e, Var):
@@ -554,23 +496,13 @@ def infer(e: Expr) -> QType:
             return infer_kfold_set(ANTICOMMUTATOR, types)
         return infer_product_set(types)
     if isinstance(e, ExtMul):
-        return _sumset(infer(e.left), infer(e.right))
+        return infer_ext_product_set([infer(e.left), infer(e.right)])
     if isinstance(e, Bracket):
         return infer_kfold_set(e.kind, [infer(o) for o in e.operands])
     if isinstance(e, Power):
-        base_type = infer(e.base)
-        if e.exponent == 0:
-            return QType((0,))
-        if e.exponent == 1:
-            return base_type
-        if e.exterior:
-            out = base_type
-            for _ in range(e.exponent - 1):
-                out = _sumset(out, base_type)
-            return out
-        return infer_kfold_set(ANTICOMMUTATOR, [base_type] * e.exponent)
+        return infer_power_set(infer(e.base), e.exponent, e.exterior)
     if isinstance(e, Fn):
-        return _fn_type(e, infer(e.operand))
+        return series_type(e.series, infer(e.operand), e.exterior)
     raise TypeError(f"not an expression node: {e!r}")
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .algebra import ApproxMultivector, Multivector
 from .brackets import product_grade_envelope
-from .qtypes import QType
+from .qtypes import QType, infer_power_set, series_type
 
 SERIES_NAMES = ("exp", "sin", "cos", "sinh", "cosh")
 
@@ -127,9 +127,8 @@ def predict_cl_power_qtype(t: int, m: int) -> int:
     """Main type of the m-th Clifford power of a main-type-t element."""
     if t not in (0, 1, 2, 3):
         raise ValueError(f"main type must be 0..3, got {t}")
-    if m < 0:
-        raise ValueError("exponent must be nonnegative")
-    return t if m % 2 else 0
+    (residue,) = infer_power_set(QType((t,)), m)
+    return residue
 
 
 def format_spectrum(spectrum) -> str:
@@ -147,11 +146,7 @@ def predict_series_qtype(name: str, t: int) -> QType:
         raise ValueError(f"unknown series {name!r}")
     if t not in (0, 1, 2, 3):
         raise ValueError(f"main type must be 0..3, got {t}")
-    if name == "exp":
-        return QType((0, t))
-    if name in ("sin", "sinh"):
-        return QType((t,))
-    return QType((0,))
+    return series_type(name, QType((t,)))
 
 
 # ---------------------------------------------------------------------------

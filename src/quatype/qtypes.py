@@ -10,16 +10,35 @@ type (Σa_i + 1 + (-1)^S) mod 4 with S = Σ_{i<j} a_i a_j, the anticommutator
 the same with the opposite sign, and a plain product lands in {0,2} or {1,3}
 according to the parity of Σa_i.  The sharp/flat/natural operations permute
 the four main types and form a Klein four-group with the identity.
+
+:func:`infer_kfold` and :func:`infer_product` are these closed forms on main
+types.  Every rule over compound types runs on one engine: a tuple of
+operand types reduces to its residue states (Σ residues mod 4, number of odd
+residues mod 4), built one operand at a time by ``_step``, and each rule
+reads its type off those states.  k-fold brackets apply the bracket formula
+(``_bracket_types``), products take the parity of the total, exterior
+products and powers take the totals, Clifford powers are half their own
+anticommutator, and the series types (:func:`series_type`) are the unions
+over even or odd powers (:func:`power_types_by_parity`).
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from itertools import combinations_with_replacement
 from random import Random
 from typing import Iterable, Sequence
 
-from .algebra import ApproxMultivector, Multivector, Signature, blade_grade, blades_by_grade, random_multivector
+from .algebra import (
+    ApproxMultivector,
+    Multivector,
+    Signature,
+    blade_grade,
+    blade_name,
+    blades_by_grade,
+    random_multivector,
+)
 
 _RESIDUES = frozenset((0, 1, 2, 3))
 
@@ -170,10 +189,17 @@ def qtype_of_approx(u: ApproxMultivector, tol: float = 1e-9) -> QType:
     """Type of a float multivector, ignoring coefficients below tolerance.
 
     The threshold scales with the largest coefficient present, so a residue
-    counts only if it carries weight above float cancellation noise.
+    counts only if it carries weight above float cancellation noise.  An
+    infinite or NaN coefficient raises ``ValueError``: it has no type.
     """
     thresh = tol * max(1.0, u.max_abs())
-    return QType(blade_grade(b) % 4 for b, v in u._coeffs.items() if abs(v) > thresh)
+    members = set()
+    for b, v in u._coeffs.items():
+        if not math.isfinite(v):
+            raise ValueError(f"non-finite coefficient {v} on {blade_name(b)}: the float evaluation overflowed")
+        if abs(v) > thresh:
+            members.add(blade_grade(b) % 4)
+    return QType(members)
 
 
 # ---------------------------------------------------------------------------
@@ -188,13 +214,7 @@ def _check_main(t: int) -> int:
 
 def infer_pair(kind, k: int, l: int) -> int:
     """Type of the commutator/anticommutator of two main types."""
-    kind = as_kind(kind)
-    _check_main(k)
-    _check_main(l)
-    eps = -1 if (k * l) & 1 else 1
-    if kind is COMMUTATOR:
-        return (k + l + 1 + eps) % 4
-    return (k + l + 1 - eps) % 4
+    return infer_kfold(kind, (k, l))
 
 
 def infer_kfold(kind, types: Sequence[int]) -> int:
@@ -233,22 +253,52 @@ def infer_pair_musical(kind, partner: int) -> MusicalOp:
 
 
 # ---------------------------------------------------------------------------
-# inference over compound types
+# inference over compound types: the residue-state engine
 #
 # Brackets and products are multilinear, so a compound operand contributes
 # the union over its member residues.  Only (Σ residues mod 4) and the
 # number of odd residues mod 4 matter (S = Σ_{i<j} a_i a_j is odd exactly
 # when C(#odd, 2) is), which keeps the sweep linear in the operand count.
 
+_NO_OPERANDS = frozenset(((0, 0),))
 
-def _residue_states(member_sets: Sequence[Iterable[int]]):
-    states = {(0, 0)}
+
+def _step(states: frozenset, members: Sequence[int]) -> frozenset:
+    """Residue states after one more operand with the given member residues."""
+    return frozenset(((s + t) % 4, (c + (t & 1)) % 4) for s, c in states for t in members)
+
+
+def _residue_states(member_sets: Iterable[Iterable[int]]) -> frozenset:
+    """(Σ residues mod 4, #odd residues mod 4) over all residue tuples drawn from the operands.
+
+    Empty when some operand is zero, which annihilates the expression.
+    """
+    states = _NO_OPERANDS
     for members in member_sets:
-        members = list(members)
-        if not members:
-            return None  # a zero operand annihilates the expression
-        states = {((s + t) % 4, (c + (t & 1)) % 4) for s, c in states for t in members}
+        states = _step(states, tuple(members))
     return states
+
+
+def _bracket_types(kind: BracketKind, states) -> QType:
+    """Bracket residue (total + 1 ± (-1)^S) mod 4 of each residue state."""
+    out = set()
+    for total, odd in states:
+        eps = -1 if (odd * (odd - 1) // 2) & 1 else 1
+        out.add((total + 1 + eps) % 4 if kind is COMMUTATOR else (total + 1 - eps) % 4)
+    return QType(out)
+
+
+def _power_types(states, exterior: bool) -> QType:
+    """Type of an m-th power from the residue states of m copies of its base.
+
+    Wedge products add grades, so an exterior power lands on the state
+    totals.  A Clifford power is a palindromic product, hence half its own
+    m-fold anticommutator; the formula gives {0} for m = 0 and the base
+    type for m = 1 as well.
+    """
+    if exterior:
+        return QType(total for total, _ in states)
+    return _bracket_types(ANTICOMMUTATOR, states)
 
 
 def infer_kfold_set(kind, member_sets: Sequence[Iterable[int]]) -> QType:
@@ -256,35 +306,62 @@ def infer_kfold_set(kind, member_sets: Sequence[Iterable[int]]) -> QType:
     kind = as_kind(kind)
     if len(member_sets) < 2:
         raise ValueError("k-fold brackets need at least two operands")
-    states = _residue_states(member_sets)
-    if states is None:
-        return QType()
-    out = set()
-    for total, odd in states:
-        eps = -1 if (odd * (odd - 1) // 2) & 1 else 1
-        if kind is COMMUTATOR:
-            out.add((total + 1 + eps) % 4)
-        else:
-            out.add((total + 1 - eps) % 4)
-    return QType(out)
+    return _bracket_types(kind, _residue_states(member_sets))
 
 
 def infer_product_set(member_sets: Sequence[Iterable[int]]) -> QType:
     """Union of infer_product over all residue tuples drawn from the operands."""
     if not member_sets:
         raise ValueError("empty product")
-    parities = {0}
-    for members in member_sets:
-        members = list(members)
-        if not members:
-            return QType()
-        parities = {(p + t) % 2 for p in parities for t in members}
     out = QType()
-    if 0 in parities:
-        out |= QType((0, 2))
-    if 1 in parities:
-        out |= QType((1, 3))
+    for parity in {total & 1 for total, _ in _residue_states(member_sets)}:
+        out |= QType((parity, parity + 2))
     return out
+
+
+def infer_ext_product_set(member_sets: Sequence[Iterable[int]]) -> QType:
+    """Type of an exterior product: the sums of residues drawn from the operands."""
+    return _power_types(_residue_states(member_sets), exterior=True)
+
+
+def infer_power_set(t: QType, m: int, exterior: bool = False) -> QType:
+    """Type of the m-th Clifford (or exterior) power of an element of type t."""
+    if m < 0:
+        raise ValueError("exponent must be nonnegative")
+    return _power_types(_residue_states([t] * m), exterior)
+
+
+def power_types_by_parity(t: Iterable[int], exterior: bool = False) -> tuple[QType, QType]:
+    """Types reachable by even / odd powers of an element of type t.
+
+    The residue states of m copies are periodic in m, so the unions are
+    complete once (m mod 2, states) repeats.
+    """
+    t = tuple(t)
+    by_parity = (set(), set())
+    states = _NO_OPERANDS
+    seen = set()
+    m = 0
+    while (m & 1, states) not in seen:
+        seen.add((m & 1, states))
+        by_parity[m & 1].update(_power_types(states, exterior))
+        states = _step(states, t)
+        m += 1
+    return QType(by_parity[0]), QType(by_parity[1])
+
+
+def series_type(name: str, t: Iterable[int], exterior: bool = False) -> QType:
+    """Type of exp/sin/cos/sinh/cosh of an element of type t.
+
+    exp sums every power; sine and sinh keep the odd powers, cosine and
+    cosh the even ones.
+    """
+    even, odd = power_types_by_parity(t, exterior)
+    if name == "exp":
+        return even | odd
+    if name in ("sin", "sinh"):
+        return odd
+    return even
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +443,7 @@ def random_of_type(sig: Signature, rng: Random, members: QType, lo: int = -9, hi
         if not hit:
             b = rng.choice(blades)
             coeffs[b] = rng.randint(1, max(hi, 1)) * rng.choice((-1, 1))
-    return Multivector(sig, coeffs)
+    return Multivector._make(sig, coeffs)
 
 
 def random_of_rank(sig: Signature, rng: Random, rank: int, lo: int = -9, hi: int = 9) -> Multivector:

@@ -2,11 +2,14 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quatype import algebra
 from quatype.algebra import (
+    ApproxMultivector,
     Multivector,
     Signature,
     SignatureMismatchError,
@@ -276,6 +279,59 @@ def test_coefficients_normalize():
         Multivector(CL20, {0: 1.5})
     with pytest.raises(ValueError):
         Multivector(CL20, {1 << 2: 1})
+
+
+@pytest.mark.parametrize("cls", [Multivector, ApproxMultivector])
+def test_blade_keys_must_be_integers(cls):
+    with pytest.raises(TypeError):
+        cls(CL30, {1.5: 1})
+    with pytest.raises(TypeError):
+        cls(CL30, {1.0: 1})
+    with pytest.raises(TypeError):
+        cls(CL30, {"1": 1})
+    assert cls(CL30, {np.int64(3): 2}) == cls(CL30, {3: 2})
+    assert type(cls(CL30, {np.int64(3): 2}).terms()[0][0]) is int
+
+
+def test_approx_value_equality():
+    u = ApproxMultivector(CL20, {0: 0.5, 0b11: -2.0})
+    assert u == ApproxMultivector(CL20, {0b11: -2.0, 0: 0.5})
+    assert u != ApproxMultivector(CL20, {0: 0.5})
+    assert u != ApproxMultivector(Signature(1, 1), {0: 0.5, 0b11: -2.0})
+    with pytest.raises(TypeError):
+        hash(u)
+    # exact and approximate values never compare equal, even on equal numbers
+    exact = Multivector(CL20, {0: 2})
+    assert exact != ApproxMultivector.from_exact(exact)
+    assert ApproxMultivector.from_exact(exact) != exact
+    assert not (exact == ApproxMultivector.scalar(CL20, 2.0))
+
+
+def _assert_canonical(u):
+    for _, v in u.terms():
+        assert v != 0
+        if isinstance(v, Fraction):
+            assert v.denominator != 1, u
+        else:
+            assert type(v) is int, u
+
+
+@pytest.mark.parametrize("dense_min_pairs", [0, 1 << 62], ids=["dense", "sparse"])
+def test_results_keep_construction_invariants(dense_min_pairs, monkeypatch):
+    # half-integer coefficients make sums, negations and products cancel and
+    # turn integral; every result must drop zeros and hold integral values as int
+    monkeypatch.setattr(algebra, "_DENSE_MIN_PAIRS", dense_min_pairs)
+    rng = random.Random(21)
+    sig = Signature(2, 2)
+    for _ in range(40):
+        u = random_multivector(sig, rng, lo=-3, hi=3) * Fraction(1, 2)
+        v = random_multivector(sig, rng, lo=-3, hi=3) * Fraction(1, 2)
+        w = random_multivector(sig, rng, lo=-3, hi=3)
+        results = [u + v, u - v, u - u, -u, u * v, u ^ v, u * 2, Fraction(2, 3) * u, u * 0]
+        results += [u + u, w * w, w ^ w, (u + u) * w, (u + u) ^ w, w * Fraction(1, 1)]
+        for x in results:
+            _assert_canonical(x)
+            assert x == Multivector(sig, dict(x.terms()))
 
 
 def test_duplicate_terms_accumulate():

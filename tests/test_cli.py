@@ -139,3 +139,11 @@ def test_exit_code_verification_failure(monkeypatch, capsys):
 def test_main_callable_directly(capsys):
     assert main(["infer", "[U:2, V:2, W:2]"]) == 0
     assert capsys.readouterr().out.strip() == "0~"
+
+
+def test_exit_code_non_finite_float_result():
+    # exp(U)**400 overflows to inf/NaN; that is an error, not a vacuous pass
+    proc = run_cli("check", "--sig", "3,0", "exp(U:1~)**400")
+    assert proc.returncode == 2
+    assert "non-finite coefficient" in proc.stderr
+    assert "PASS" not in proc.stdout

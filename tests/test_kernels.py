@@ -1,6 +1,7 @@
 """Cross-checks between the dense kernel and the sparse reference path."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -114,3 +115,24 @@ def test_large_coefficients_fall_back_to_exact():
     assert (big * e1) * (big * e1) == Multivector.scalar(sig, big * big)
     assert w == Multivector(sig, _mul_sparse(u._coeffs, v._coeffs, sig.neg_mask, False))
     assert max(abs(c) for _, c in w.terms()) >= big * big
+
+
+def test_integral_fraction_sums_reach_the_int64_kernel(monkeypatch):
+    # Fraction(1, 2) + Fraction(1, 2) is stored as the int 1, so the next
+    # product of enough blade pairs runs on the int64 kernel
+    dtypes = []
+    kernel = _accel.product_dense
+
+    def recording(ia, va, ib, vb, *args, **kwargs):
+        dtypes.append(va.dtype)
+        return kernel(ia, va, ib, vb, *args, **kwargs)
+
+    monkeypatch.setattr(_accel, "product_dense", recording)
+    rng = random.Random(8)
+    sig = Signature(4, 0)
+    u = random_multivector(sig, rng, lo=1, hi=9)
+    half = u * Fraction(1, 2)
+    whole = half + half
+    assert whole == u and len(whole) * len(u) >= algebra._DENSE_MIN_PAIRS
+    assert whole * u == Multivector(sig, _mul_sparse(u._coeffs, u._coeffs, sig.neg_mask, False))
+    assert dtypes == [np.dtype(np.int64)]

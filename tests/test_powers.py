@@ -205,8 +205,13 @@ def test_predict_cl_power_qtype():
     assert predict_cl_power_qtype(3, 4) == 0
     assert predict_cl_power_qtype(0, 7) == 0
     assert predict_cl_power_qtype(2, 1) == 2
+    for t in range(4):
+        for m in range(13):
+            assert predict_cl_power_qtype(t, m) == (t if m % 2 else 0), (t, m)
     with pytest.raises(ValueError):
         predict_cl_power_qtype(4, 2)
+    with pytest.raises(ValueError):
+        predict_cl_power_qtype(1, -1)
 
 
 def test_power_type_containment():
@@ -274,6 +279,11 @@ def test_predict_series_qtype_values():
     assert predict_series_qtype("exp", 0) == QType({0})
     assert predict_series_qtype("sinh", 3) == QType({3})
     assert predict_series_qtype("cos", 1) == QType({0})
+    # the paper's table: exp -> {0, t}, sin/sinh -> {t}, cos/cosh -> {0}
+    for t in range(4):
+        table = {"exp": {0, t}, "sin": {t}, "sinh": {t}, "cos": {0}, "cosh": {0}}
+        for name, want in table.items():
+            assert predict_series_qtype(name, t) == QType(want), (name, t)
     with pytest.raises(ValueError):
         predict_series_qtype("tan", 1)
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from quatype.qtypes import (
     musical_apply,
     musical_compose,
     pair_musical_table,
+    power_types_by_parity,
     qtype_of,
     qtype_of_approx,
     random_of_rank,
@@ -73,6 +75,15 @@ def test_qtype_of_approx_threshold():
     assert qtype_of_approx(v) == QType({0})
     w = ApproxMultivector(s2, {0: 1.0, 0b01: 1e-3})
     assert qtype_of_approx(w) == QType({0, 1})
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_qtype_of_approx_rejects_non_finite(bad):
+    # an overflowed float evaluation has no type; dropping the coefficient
+    # would report a vacuous bottom type
+    u = ApproxMultivector(Signature(3, 0), {0: 1.0, 0b011: bad})
+    with pytest.raises(ValueError, match="non-finite coefficient .* on e12"):
+        qtype_of_approx(u)
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +259,22 @@ def test_infer_set_versions_match_bruteforce():
     # a zero operand annihilates everything
     assert infer_kfold_set(COMMUTATOR, [QType({1}), QType()]) == QType()
     assert infer_product_set([QType(), QType({2})]) == QType()
+
+
+def test_power_types_by_parity_match_bruteforce():
+    # the m-th Clifford power is half its m-fold anticommutator and the m-th
+    # exterior power lands on residue sums; union both over m <= 12 by parity
+    for r in range(5):
+        for members in itertools.combinations(range(4), r):
+            t = QType(members)
+            clifford = [set(), set()]
+            exterior = [set(), set()]
+            for m in range(13):
+                for combo in itertools.combinations_with_replacement(sorted(t), m):
+                    clifford[m & 1].add(infer_kfold(ANTICOMMUTATOR, combo) if m >= 2 else sum(combo))
+                    exterior[m & 1].add(sum(combo) % 4)
+            assert power_types_by_parity(t) == (QType(clifford[0]), QType(clifford[1])), t
+            assert power_types_by_parity(t, exterior=True) == (QType(exterior[0]), QType(exterior[1])), t
 
 
 # ---------------------------------------------------------------------------
