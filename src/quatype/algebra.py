@@ -30,9 +30,9 @@ import json
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from random import Random
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Union
 
 import numpy as np
 
@@ -273,6 +273,11 @@ class _MultivectorBase:
     def scalar(cls, sig: Signature, value):
         return cls(sig, {0: value})
 
+    @classmethod
+    def from_exact(cls, u: "Multivector"):
+        """The exact multivector u in this class's coefficient domain."""
+        return u if type(u) is cls else cls(u.sig, u._coeffs)
+
     # -- inspection --------------------------------------------------------
 
     def coefficient(self, blade: int):
@@ -399,10 +404,6 @@ class ApproxMultivector(_MultivectorBase):
     _scalar_types = (int, float, Fraction)
     _approx = True
 
-    @classmethod
-    def from_exact(cls, u: Multivector) -> "ApproxMultivector":
-        return cls(u.sig, {b: float(v) for b, v in u._coeffs.items()})
-
 
 def geo_mul(u: Multivector, v: Multivector) -> Multivector:
     """Geometric (Clifford) product."""
@@ -412,13 +413,6 @@ def geo_mul(u: Multivector, v: Multivector) -> Multivector:
 def ext_mul(u: Multivector, v: Multivector) -> Multivector:
     """Exterior (wedge) product: index-alternated part of the geometric product."""
     return u ^ v
-
-
-def geo_chain(us: Sequence[Multivector]) -> Multivector:
-    """Left-folded geometric product of one or more multivectors."""
-    if not us:
-        raise ValueError("empty product")
-    return reduce(geo_mul, us)
 
 
 def grade_project(u: Multivector, k: int) -> Multivector:
@@ -445,45 +439,52 @@ def qtype_project(u: Multivector, t: int) -> Multivector:
 
 
 # ---------------------------------------------------------------------------
-# random generation (verification sweeps sample through here)
+# random generation: every sampler draws through sample_blades
 
 
 @lru_cache(maxsize=None)
-def blades_by_grade(n: int) -> tuple[tuple[int, ...], ...]:
-    """All blade bit sets of an n-generator algebra, grouped by grade."""
-    groups: list[list[int]] = [[] for _ in range(n + 1)]
-    for bits in range(1 << n):
-        groups[blade_grade(bits)].append(bits)
-    return tuple(tuple(g) for g in groups)
+def blades_of_grades(n: int, grades: tuple[int, ...]) -> tuple[int, ...]:
+    """Blades of an n-generator algebra with the given grades: by grade in that order, then by bit order."""
+    return tuple(b for g in grades for b in range(1 << n) if blade_grade(b) == g)
+
+
+def sample_blades(
+    sig: Signature, rng: Random, blade_groups: Iterable[tuple[int, ...]], lo: int = -9, hi: int = 9
+) -> Multivector:
+    """The draw loop of every typed sampler.
+
+    Each group in turn draws one coefficient per blade, in order, uniformly
+    from [lo, hi] (zero allowed).  A nonempty group whose draw comes out all
+    zero is patched at one random blade, so the result is nonzero on it.
+    """
+    randint = rng.randint
+    coeffs: dict[int, int] = {}
+    for blades in blade_groups:
+        hit = False
+        for b in blades:
+            v = randint(lo, hi)
+            if v:
+                coeffs[b] = v
+                hit = True
+        if not hit and blades:
+            b = rng.choice(blades)
+            coeffs[b] = rng.randint(1, max(hi, 1)) * rng.choice((-1, 1))
+    return Multivector._make(sig, coeffs)
 
 
 def random_multivector(
-    sig: Signature,
-    rng: Random,
-    grades: Iterable[int] | None = None,
-    lo: int = -9,
-    hi: int = 9,
-    ensure_nonzero: bool = True,
+    sig: Signature, rng: Random, grades: Iterable[int] | None = None, lo: int = -9, hi: int = 9
 ) -> Multivector:
     """Random integer-coefficient multivector supported on the given grades.
 
-    Every admissible blade draws a coefficient uniformly from [lo, hi]
-    (zero allowed); with ``ensure_nonzero`` an all-zero draw is patched so
-    the result is nonzero.
+    The blades of all given grades form one group of :func:`sample_blades`,
+    so the result is nonzero unless no grade is given.
     """
-    groups = blades_by_grade(sig.n)
-    wanted = range(sig.n + 1) if grades is None else sorted(set(grades))
-    blades: list[int] = []
+    wanted = tuple(range(sig.n + 1)) if grades is None else tuple(sorted(set(grades)))
     for g in wanted:
         if not 0 <= g <= sig.n:
             raise ValueError(f"grade {g} outside 0..{sig.n}")
-        blades.extend(groups[g])
-    coeffs = {b: rng.randint(lo, hi) for b in blades}
-    coeffs = {b: v for b, v in coeffs.items() if v}
-    if ensure_nonzero and not coeffs and blades:
-        b = rng.choice(blades)
-        coeffs[b] = rng.randint(1, max(hi, 1)) * rng.choice((-1, 1))
-    return Multivector._make(sig, coeffs)
+    return sample_blades(sig, rng, (blades_of_grades(sig.n, wanted),), lo, hi)
 
 
 # ---------------------------------------------------------------------------

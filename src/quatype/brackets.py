@@ -23,13 +23,6 @@ from .qtypes import ANTICOMMUTATOR, COMMUTATOR, BracketKind, as_kind, infer_kfol
 MAX_TREE_LEAVES = 6  # enumeration cost grows as 2^(k-1) trees
 
 
-def bracket2(kind, u: Multivector, v: Multivector) -> Multivector:
-    """Two-operand commutator or anticommutator."""
-    uv = u * v
-    vu = v * u
-    return uv - vu if as_kind(kind) is COMMUTATOR else uv + vu
-
-
 def kfold(kind, us: Sequence[Multivector]) -> Multivector:
     """k-fold bracket: forward product -/+ reversed product, k >= 2."""
     kind = as_kind(kind)
@@ -100,7 +93,7 @@ def eval_tree(tree: BracketTree, us: Sequence[Multivector]) -> Multivector:
         raise ValueError(f"tree has {tree.leaves} leaves, got {len(us)} operands")
     acc = us[0]
     for i, tag in enumerate(tree.tags):
-        acc = bracket2(tag, acc, us[i + 1])
+        acc = kfold(tag, (acc, us[i + 1]))
     return acc
 
 

@@ -13,26 +13,13 @@ import json
 import sys
 from typing import Sequence
 
-from .algebra import (
-    ApproxMultivector,
-    Multivector,
-    Signature,
-    SignatureMismatchError,
-    approx_to_obj,
-    format_multivector,
-    from_obj,
-)
-from .dsl import CheckReport, ParseError, UntypedVariableError, check, evaluate, parse, parse_file
+from .algebra import Multivector, Signature, SignatureMismatchError, format_multivector, from_obj
+from .dsl import CheckReport, ParseError, UntypedVariableError, check, classify, evaluate, infer, parse, parse_file
 from .powers import SeriesConvergenceError
 from .qtypes import (
-    ANTICOMMUTATOR,
-    COMMUTATOR,
     InfeasibleDeclarationError,
-    QType,
     klein_table,
     pair_musical_table,
-    qtype_of,
-    qtype_of_approx,
     threefold_fixed_table,
     triple_table,
 )
@@ -137,18 +124,12 @@ def _cmd_eval(args) -> int:
     bindings = _load_bindings(args.bindings) if args.bindings else {}
     value = evaluate(expr, bindings, sig)
     print(format_multivector(value))
-    if isinstance(value, ApproxMultivector):
-        print(f"qtype: {qtype_of_approx(value).render()}")
-    else:
-        print(f"qtype: {qtype_of(value).render()}")
+    print(f"qtype: {classify(value).render()}")
     return 0
 
 
 def _cmd_infer(args) -> int:
-    expr = parse(args.expr)
-    from .dsl import infer
-
-    print(infer(expr).render())
+    print(infer(parse(args.expr)).render())
     return 0
 
 

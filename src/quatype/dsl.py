@@ -28,11 +28,11 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, Union
 
-from .algebra import ApproxMultivector, Multivector, Signature, format_multivector
+from .algebra import ApproxMultivector, Multivector, Signature
 from .brackets import kfold
-from .powers import ext_power, ext_series_fn, series_fn, DEFAULT_POLICY, SERIES_NAMES
+from .powers import ext_power, ext_series_fn, series_fn, DEFAULT_POLICY, SERIES_NAMES, SeriesConvergenceError
 from .qtypes import (
     ANTICOMMUTATOR,
     BracketKind,
@@ -210,7 +210,7 @@ class _Parser:
         self.toks = _tokenize(src)
         self.i = 0
         self.require_types = require_types
-        self.decls: dict[str, tuple] = {}  # name -> ("type", QType) | ("rank", int)
+        self.decls: dict[str, Var] = {}  # name -> the declared variable, returned at every use
         self._seen_undeclared: set[str] = set()
 
     def peek(self) -> _Token:
@@ -234,7 +234,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "end":
             raise ParseError(f"unexpected token {tok.text!r}", tok.pos)
-        return _attach_declarations(e, self.decls)
+        return e
 
     def expr(self) -> Expr:
         e = self.term()
@@ -336,22 +336,24 @@ class _Parser:
     def variable(self) -> Expr:
         tok = self.advance()
         name = tok.text
+        known = self.decls.get(name)
         if self.peek().text == ":":
             self.advance()
-            decl = self.declaration()
-            known = self.decls.get(name)
-            if known is not None and known != decl:
+            var = self.declaration(name)
+            if known is not None and known != var:
                 raise ParseError(f"conflicting redeclaration of {name!r}", tok.pos)
             if known is None and name in self._seen_undeclared:
                 raise ParseError(f"variable {name!r} must be declared at its first use", tok.pos)
-            self.decls[name] = decl
-        elif name not in self.decls:
-            if self.require_types:
-                raise ParseError(f"missing type declaration on first use of {name!r}", tok.pos)
-            self._seen_undeclared.add(name)
+            self.decls[name] = var
+            return var
+        if known is not None:
+            return known
+        if self.require_types:
+            raise ParseError(f"missing type declaration on first use of {name!r}", tok.pos)
+        self._seen_undeclared.add(name)
         return Var(name)
 
-    def declaration(self) -> tuple:
+    def declaration(self, name: str) -> Var:
         tok = self.peek()
         if tok.text == "#":
             self.advance()
@@ -359,7 +361,7 @@ class _Parser:
             if rank_tok.kind != "int":
                 raise ParseError("expected a rank after '#'", rank_tok.pos)
             self.advance()
-            return ("rank", int(rank_tok.text))
+            return Var(name, rank=int(rank_tok.text))
         if tok.kind != "int":
             raise ParseError("expected a type or rank declaration after ':'", tok.pos)
         members: list[int] = []
@@ -376,29 +378,7 @@ class _Parser:
                     continue
                 break
             break
-        return ("type", QType(members))
-
-
-def _attach_declarations(e: Expr, decls: Mapping[str, tuple]) -> Expr:
-    if isinstance(e, Var):
-        decl = decls.get(e.name)
-        if decl is None:
-            return e
-        if decl[0] == "rank":
-            return Var(e.name, rank=decl[1])
-        return Var(e.name, qtype=decl[1])
-    if isinstance(e, ScalarLit):
-        return e
-    if isinstance(e, Neg):
-        return Neg(_attach_declarations(e.operand, decls))
-    if isinstance(e, Fn):
-        return Fn(e.name, _attach_declarations(e.operand, decls))
-    if isinstance(e, Power):
-        return Power(_attach_declarations(e.base, decls), e.exponent, e.exterior)
-    if isinstance(e, Bracket):
-        return Bracket(e.kind, tuple(_attach_declarations(o, decls) for o in e.operands))
-    cls = type(e)
-    return cls(_attach_declarations(e.left, decls), _attach_declarations(e.right, decls))
+        return Var(name, qtype=QType(members))
 
 
 def parse(src: str, require_types: bool = True) -> Expr:
@@ -514,31 +494,39 @@ def has_clifford_series(e: Expr) -> bool:
     return any(isinstance(node, Fn) and not node.exterior for node in walk(e))
 
 
-def _evaluate(e: Expr, env: Mapping[str, object], sig: Signature, approx: bool):
+def _domain(e: Expr) -> type[Multivector] | type[ApproxMultivector]:
+    """Where an expression evaluates: in floats when a Clifford series occurs, else exactly."""
+    return ApproxMultivector if has_clifford_series(e) else Multivector
+
+
+def classify(value: Multivector | ApproxMultivector) -> QType:
+    """Quaternion type of an evaluated value, exact or float."""
+    return qtype_of_approx(value) if isinstance(value, ApproxMultivector) else qtype_of(value)
+
+
+def _evaluate(e: Expr, env: Mapping[str, object], sig: Signature, cls):
     if isinstance(e, Var):
         try:
             return env[e.name]
         except KeyError:
             raise KeyError(f"no binding for variable {e.name!r}") from None
     if isinstance(e, ScalarLit):
-        if approx:
-            return ApproxMultivector.scalar(sig, float(e.value))
-        return Multivector.scalar(sig, e.value)
+        return cls.scalar(sig, e.value)
     if isinstance(e, Neg):
-        return -_evaluate(e.operand, env, sig, approx)
+        return -_evaluate(e.operand, env, sig, cls)
     if isinstance(e, Add):
-        return _evaluate(e.left, env, sig, approx) + _evaluate(e.right, env, sig, approx)
+        return _evaluate(e.left, env, sig, cls) + _evaluate(e.right, env, sig, cls)
     if isinstance(e, GeoMul):
-        return _evaluate(e.left, env, sig, approx) * _evaluate(e.right, env, sig, approx)
+        return _evaluate(e.left, env, sig, cls) * _evaluate(e.right, env, sig, cls)
     if isinstance(e, ExtMul):
-        return _evaluate(e.left, env, sig, approx) ^ _evaluate(e.right, env, sig, approx)
+        return _evaluate(e.left, env, sig, cls) ^ _evaluate(e.right, env, sig, cls)
     if isinstance(e, Bracket):
-        return kfold(e.kind, [_evaluate(o, env, sig, approx) for o in e.operands])
+        return kfold(e.kind, [_evaluate(o, env, sig, cls) for o in e.operands])
     if isinstance(e, Power):
-        base = _evaluate(e.base, env, sig, approx)
+        base = _evaluate(e.base, env, sig, cls)
         return ext_power(base, e.exponent) if e.exterior else base**e.exponent
     if isinstance(e, Fn):
-        operand = _evaluate(e.operand, env, sig, approx)
+        operand = _evaluate(e.operand, env, sig, cls)
         if e.exterior:
             return ext_series_fn(e.series, operand)
         return series_fn(e.series, operand, DEFAULT_POLICY)
@@ -550,9 +538,8 @@ def evaluate(e: Expr, bindings: Mapping[str, Multivector], sig: Signature):
     for name, value in bindings.items():
         if value.sig != sig:
             raise ValueError(f"binding for {name!r} lives in {value.sig}, expected {sig}")
-    approx = has_clifford_series(e)
-    env = {k: ApproxMultivector.from_exact(v) for k, v in bindings.items()} if approx else dict(bindings)
-    return _evaluate(e, env, sig, approx)
+    cls = _domain(e)
+    return _evaluate(e, {k: cls.from_exact(v) for k, v in bindings.items()}, sig, cls)
 
 
 # ---------------------------------------------------------------------------
@@ -618,23 +605,29 @@ def _sample_variable(sig: Signature, rng: Random, var: Var) -> Multivector:
     return random_of_type(sig, rng, var.qtype)
 
 
-def check(e: Expr | str, sig: Signature, trials: int = 100, seed: int = 0, tol: float = 1e-9) -> CheckReport:
-    """Verify qtype_of(concrete value) ⊆ infer(expression) on random trials.
+def check(e: Expr | str, sig: Signature, trials: int = 100, seed: int = 0) -> CheckReport:
+    """Verify the type of the concrete value ⊆ infer(expression) on random trials.
 
-    Each trial derives its own seed (base seed + index), samples one
-    multivector per distinct variable with integer coefficients in [-9, 9]
-    (aliased occurrences share the sample), evaluates exactly — or in floats
-    when Clifford series are involved, with ``tol`` screening residues that
-    must vanish — and records any containment violation.
+    Trial i draws from ``Random(seed + i)``, its reproducer seed.  It samples
+    one multivector per distinct variable, in name order (aliased
+    occurrences share the sample): a rank declaration draws the blades of
+    that grade, a type declaration draws its member residues in ascending
+    order, and within each the blades go by grade, then by bit order.  Every
+    blade draws an integer coefficient in [-9, 9]; a residue (or rank) whose
+    draw comes out all zero is patched at one random blade.  The trial
+    evaluates exactly, or in floats when Clifford series are involved, and
+    records any containment violation.  A trial whose evaluation raises
+    ``ValueError`` or :class:`SeriesConvergenceError` aborts the check with
+    the error prefixed by ``trial i (seed s): ``.
     """
     if isinstance(e, str):
         e = parse(e)
     if trials < 1:
         raise ValueError("need at least one trial")
     inferred = infer(e)
-    vars_by_name = variables(e)
+    by_name = sorted(variables(e).items())
     feasible = feasible_residues(sig)
-    for name, var in sorted(vars_by_name.items()):
+    for name, var in by_name:
         if var.rank is not None:
             if not 0 <= var.rank <= sig.n:
                 raise InfeasibleDeclarationError(f"rank {var.rank} of {name!r} is infeasible in {sig}")
@@ -645,18 +638,17 @@ def check(e: Expr | str, sig: Signature, trials: int = 100, seed: int = 0, tol: 
                     f"type {_var_type(var).render()} of {name!r} has no grade for residue(s) "
                     f"{sorted(missing)} in {sig}"
                 )
-    approx = has_clifford_series(e)
+    cls = _domain(e)
     report = CheckReport(expr=render(e), signature=sig, inferred=inferred, trials=trials)
     for i in range(trials):
         trial_seed = seed + i
         rng = Random(trial_seed)
-        samples = {name: _sample_variable(sig, rng, var) for name, var in sorted(vars_by_name.items())}
-        if approx:
-            env = {k: ApproxMultivector.from_exact(v) for k, v in samples.items()}
-        else:
-            env = samples
-        value = _evaluate(e, env, sig, approx)
-        got = qtype_of_approx(value, tol) if approx else qtype_of(value)
+        env = {name: cls.from_exact(_sample_variable(sig, rng, var)) for name, var in by_name}
+        try:
+            got = classify(_evaluate(e, env, sig, cls))
+        except (ValueError, SeriesConvergenceError) as exc:
+            exc.args = (f"trial {i} (seed {trial_seed}): {exc}", *exc.args[1:])
+            raise
         if not got <= inferred:
             report.failures.append(TrialFailure(trial=i, seed=trial_seed, observed=got))
         report.observed |= got

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import ApproxMultivector, Multivector
+from .algebra import ApproxMultivector
 from .brackets import product_grade_envelope
 from .qtypes import QType, infer_power_set, series_type
 
@@ -215,7 +215,6 @@ def ext_series_fn(name: str, u):
         raise ValueError(f"unknown series {name!r}")
     if u.coefficient(0):
         raise ValueError("exterior series of an element with a scalar component does not terminate")
-    exact = isinstance(u, Multivector)
     one = type(u).scalar(u.sig, 1)
     wants_even = name in ("exp", "cos", "cosh")
     wants_odd = name in ("exp", "sin", "sinh")
@@ -225,7 +224,7 @@ def ext_series_fn(name: str, u):
     for j in range(u.sig.n + 2):
         wanted = (wants_even, wants_odd)[j & 1]
         if wanted:
-            scale = Fraction(1, math.factorial(j)) if exact else 1.0 / math.factorial(j)
+            scale = Fraction(1, math.factorial(j))
             if alternating and (j // 2) & 1:
                 scale = -scale
             acc = acc + power * scale

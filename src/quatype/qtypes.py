@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import enum
 import math
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from random import Random
 from typing import Iterable, Sequence
@@ -36,8 +37,8 @@ from .algebra import (
     Signature,
     blade_grade,
     blade_name,
-    blades_by_grade,
-    random_multivector,
+    blades_of_grades,
+    sample_blades,
 )
 
 _RESIDUES = frozenset((0, 1, 2, 3))
@@ -411,43 +412,32 @@ def klein_table() -> list[list[MusicalOp]]:
 # typed random sampling
 
 
+@lru_cache(maxsize=None)
 def feasible_residues(sig: Signature) -> QType:
     """Residues mod 4 realized by some grade 0..n."""
     return QType(g % 4 for g in range(sig.n + 1))
 
 
-def random_of_type(sig: Signature, rng: Random, members: QType, lo: int = -9, hi: int = 9) -> Multivector:
+def random_of_type(sig: Signature, rng: Random, members: QType) -> Multivector:
     """Random multivector of the given type, nonzero in every member residue.
 
-    Raises :class:`InfeasibleDeclarationError` when some member residue has
-    no grade <= n.
+    Each member residue, in ascending order, is one group of
+    :func:`~quatype.algebra.sample_blades`: its blades by grade, then by bit
+    order.  Raises :class:`InfeasibleDeclarationError` when some member
+    residue has no grade <= n.
     """
     members = QType(members)
-    if not members:
-        return Multivector.zero(sig)
     missing = members - feasible_residues(sig)
     if missing:
         raise InfeasibleDeclarationError(
             f"type {members.render()} has no grade for residue(s) {sorted(missing)} in {sig}"
         )
-    groups = blades_by_grade(sig.n)
-    coeffs: dict[int, int] = {}
-    for r in sorted(members):
-        blades = [b for g in range(r, sig.n + 1, 4) for b in groups[g]]
-        hit = False
-        for b in blades:
-            v = rng.randint(lo, hi)
-            if v:
-                coeffs[b] = v
-                hit = True
-        if not hit:
-            b = rng.choice(blades)
-            coeffs[b] = rng.randint(1, max(hi, 1)) * rng.choice((-1, 1))
-    return Multivector._make(sig, coeffs)
+    n = sig.n
+    return sample_blades(sig, rng, [blades_of_grades(n, tuple(range(r, n + 1, 4))) for r in sorted(members)])
 
 
-def random_of_rank(sig: Signature, rng: Random, rank: int, lo: int = -9, hi: int = 9) -> Multivector:
+def random_of_rank(sig: Signature, rng: Random, rank: int) -> Multivector:
     """Random nonzero homogeneous multivector of the given grade."""
     if not 0 <= rank <= sig.n:
         raise InfeasibleDeclarationError(f"rank {rank} is infeasible in {sig}")
-    return random_multivector(sig, rng, grades=(rank,), lo=lo, hi=hi, ensure_nonzero=True)
+    return sample_blades(sig, rng, [blades_of_grades(sig.n, (rank,))])

@@ -412,5 +412,5 @@ def test_random_multivector_respects_grades():
     for _ in range(20):
         u = random_multivector(CL30, rng, grades=(2,))
         assert u.grades() <= {2}
-        assert u  # ensure_nonzero
+        assert u  # an all-zero draw is patched
         assert all(-9 <= c <= 9 for _, c in u.terms())

@@ -7,7 +7,6 @@ import pytest
 from quatype.algebra import Multivector, Signature, grade_project, random_multivector
 from quatype.brackets import (
     BracketTree,
-    bracket2,
     class_type_uniformity,
     enumerate_trees,
     eval_tree,
@@ -308,10 +307,3 @@ def test_uvvu_concrete_property():
             except Exception:
                 continue
             assert qtype_of(u * v * v * u) <= QType({0}), (sig, k, l)
-
-
-def test_bracket2_matches_kfold_pair():
-    rng = random.Random(29)
-    u, v = (random_multivector(CL30, rng) for _ in range(2))
-    assert bracket2(COMMUTATOR, u, v) == kfold(COMMUTATOR, [u, v])
-    assert bracket2(ANTICOMMUTATOR, u, v) == kfold(ANTICOMMUTATOR, [u, v])

@@ -147,3 +147,14 @@ def test_exit_code_non_finite_float_result():
     assert proc.returncode == 2
     assert "non-finite coefficient" in proc.stderr
     assert "PASS" not in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "sig, expr",
+    [("3,0", "exp(U:1~)**400"), ("4,1", "cosh([U:1,V:2])")],
+)
+def test_trial_error_names_its_seed(sig, expr):
+    proc = run_cli("check", "--sig", sig, expr)
+    assert proc.returncode == 2
+    assert "error: trial " in proc.stderr
+    assert "(seed " in proc.stderr

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from quatype.dsl import (
     UntypedVariableError,
     Var,
     check,
+    classify,
     evaluate,
     infer,
     parse,
@@ -264,9 +266,14 @@ def test_evaluate_series_goes_float():
     e = parse("exp(U)", require_types=False)
     value = evaluate(e, {"U": Multivector.blade(sig, [1, 2])}, sig)
     assert isinstance(value, ApproxMultivector)
-    import math
-
     assert value.coefficient(0) == pytest.approx(math.cos(1.0))
+
+
+def test_evaluate_float_literal_without_variables():
+    value = evaluate(parse("exp(2)", require_types=False), {}, Signature(2, 0))
+    assert isinstance(value, ApproxMultivector)
+    assert value.coefficient(0) == pytest.approx(math.e**2, rel=1e-12)
+    assert classify(value) == QType({0})
 
 
 def test_check_aliasing_shares_samples():

@@ -384,3 +384,33 @@ def test_random_of_type_deterministic_per_seed():
     a = random_of_type(sig, random.Random(99), QType({0, 3}))
     b = random_of_type(sig, random.Random(99), QType({0, 3}))
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "draw, terms",
+    [
+        # residue 0 of Cl(1,0) draws all zero and is patched
+        (lambda: random_of_type(Signature(1, 0), random.Random(4), QType({0, 1})), [(0, -2), (1, 7)]),
+        # residue 0 (blades e, e1234) is patched before residue 3 draws
+        (
+            lambda: random_of_type(Signature(3, 1), random.Random(60), QType({0, 3})),
+            [(0, -5), (7, 6), (11, 5), (13, 1), (14, -8)],
+        ),
+        (
+            lambda: random_of_type(Signature(3, 1), random.Random(5), QType({0, 3})),
+            [(0, -1), (7, 7), (11, -9), (13, 5), (14, -2), (15, 2)],
+        ),
+        (
+            lambda: random_of_rank(Signature(3, 1), random.Random(7), 2),
+            [(3, 1), (5, -5), (6, 3), (9, -8), (10, -7), (12, 8)],
+        ),
+        # both grade-1 draws come out zero: patched at e1
+        (lambda: random_of_rank(Signature(2, 0), random.Random(60), 1), [(1, -5)]),
+        (lambda: random_multivector(Signature(2, 0), random.Random(60), grades=(1,)), [(1, -5)]),
+        (lambda: random_multivector(Signature(2, 0), random.Random(3)), [(0, -2), (1, 9), (2, 8), (3, -5)]),
+    ],
+    ids=["type-patched", "type-patched-first", "type", "rank", "rank-patched", "grades-patched", "all-grades"],
+)
+def test_sampler_draws_are_pinned(draw, terms):
+    # check's reproducer seeds depend on this exact order of random draws
+    assert draw().terms() == terms
