@@ -13,7 +13,9 @@ GF(2), so s is odd exactly when popcount(w[a] & b) is, with
     w[a] = (a & neg_mask) ^ L(a),  bit j of L(a) = parity of popcount(a >> (j+1)).
 
 ``w`` is one int64 vector of 2^n entries per signature, built on first use
-and cached.
+and cached.  Right multiplication by a fixed f is linear, so a series that
+multiplies by f at every step can build its 2^n x 2^n matrix once
+(:func:`step_matrix`) when it fits one chunk.
 """
 
 from __future__ import annotations
@@ -61,3 +63,16 @@ def product_dense(ia, va, ib, vb, neg_mask, n, exterior=False):
             prod[(a & ib) != 0] = 0
         np.add.at(out, (a ^ ib).ravel(), prod.ravel())
     return out
+
+
+def step_matrix(ib, vb, neg_mask, n):
+    """The float64 matrix M of right multiplication by f, so that x @ M = x f.
+
+    ``ib``/``vb`` are the blades and values of f.  Row a of M is e_a f:
+    M[a, a ^ b] = (-1)^popcount(w[a] & b) f[b].  It has 4^n entries.
+    """
+    a = np.arange(1 << n, dtype=np.int64)[:, None]
+    odd = np.bitwise_count(sign_form(n, neg_mask)[:, None] & ib) & 1
+    m = np.zeros((1 << n, 1 << n))
+    m[a, a ^ ib] = np.subtract(1, odd << 1, dtype=np.float64) * vb
+    return m

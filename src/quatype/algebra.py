@@ -204,14 +204,21 @@ def _int_bound(coeffs: dict) -> int | None:
     return m
 
 
-def _mul_dense(ca: dict, cb: dict, sig: Signature, exterior: bool, dtype) -> dict:
-    ia = np.fromiter(ca.keys(), np.int64, len(ca))
-    va = np.fromiter(ca.values(), dtype, len(ca))
-    ib = np.fromiter(cb.keys(), np.int64, len(cb))
-    vb = np.fromiter(cb.values(), dtype, len(cb))
-    out = _accel.product_dense(ia, va, ib, vb, sig.neg_mask, sig.n, exterior=exterior)
+def _blade_arrays(coeffs: dict, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """A coefficient dict as int64 blade and ``dtype`` value arrays, for the dense kernel."""
+    return np.fromiter(coeffs.keys(), np.int64, len(coeffs)), np.fromiter(coeffs.values(), dtype, len(coeffs))
+
+
+def _dense_coeffs(out: np.ndarray) -> dict:
+    """The nonzero entries of a dense length-2^n coefficient array, as a coefficient dict."""
     nz = np.flatnonzero(out)
     return dict(zip(nz.tolist(), out[nz].tolist()))
+
+
+def _mul_dense(ca: dict, cb: dict, sig: Signature, exterior: bool, dtype) -> dict:
+    ia, va = _blade_arrays(ca, dtype)
+    ib, vb = _blade_arrays(cb, dtype)
+    return _dense_coeffs(_accel.product_dense(ia, va, ib, vb, sig.neg_mask, sig.n, exterior=exterior))
 
 
 def _mul_coeffs(ca: dict, cb: dict, sig: Signature, exterior: bool, approx: bool) -> dict:
@@ -219,7 +226,10 @@ def _mul_coeffs(ca: dict, cb: dict, sig: Signature, exterior: bool, approx: bool
         return {}
     if len(ca) * len(cb) >= _DENSE_MIN_PAIRS:
         if approx:
-            return _mul_dense(ca, cb, sig, exterior, np.float64)
+            # float overflow surfaces as inf/NaN, which classification reports;
+            # the int64 path below cannot overflow within its bound
+            with np.errstate(over="ignore", invalid="ignore"):
+                return _mul_dense(ca, cb, sig, exterior, np.float64)
         ma = _int_bound(ca)
         mb = _int_bound(cb) if ma is not None else None
         if mb is not None and ma * mb * min(len(ca), len(cb)) < _INT64_SAFE_BOUND:

@@ -10,7 +10,13 @@ grade envelope, which reproduces the dimension-aware refinements for every m.
 Power series of the usual five elementary functions come in two flavors:
 the Clifford-product series run in floating point with a relative-tolerance
 truncation policy (they rarely terminate), while the exterior series are
-finite and evaluated in exact rational arithmetic.
+finite and evaluated in exact rational arithmetic.  A Clifford series keeps
+its term and partial sum as dense float64 vectors of length 2^n and
+multiplies the term by the same factor at every step: through that factor's
+step matrix, built once per series, when its 4^n entries fit one kernel
+chunk (n <= 8), else through the dense kernel.  Its float results may differ
+in the last bits from a sum of sparse products, since the order of the
+additions differs.
 """
 
 from __future__ import annotations
@@ -19,7 +25,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import ApproxMultivector
+import numpy as np
+
+from . import _accel
+from .algebra import ApproxMultivector, _blade_arrays, _dense_coeffs
 from .brackets import product_grade_envelope
 from .qtypes import QType, infer_power_set, series_type
 
@@ -160,42 +169,66 @@ def series_fn(name: str, u: ApproxMultivector, policy: SeriesPolicy = DEFAULT_PO
     sum (or to 1, whichever is larger); exceeding the term budget raises
     :class:`SeriesConvergenceError`, which flags inputs whose coefficients
     grow before factorial decay kicks in.
+
+    The term and the partial sum are dense float64 vectors of length 2^n.
+    Each step multiplies the term by f = u (exp) or f = u u (the others):
+    by one matrix-vector product with the step matrix of f, built once per
+    series, when its 4^n entries fit one kernel chunk (4^n <= CHUNK_PAIRS),
+    else by the dense kernel over the term's nonzero blades.  The float
+    results may differ in the last bits from those of sparse products.
     """
     if name not in SERIES_NAMES:
         raise ValueError(f"unknown series {name!r}")
     if not isinstance(u, ApproxMultivector):
         raise TypeError("Clifford series run on ApproxMultivector inputs")
     sig = u.sig
-    if name == "exp":
-        term = ApproxMultivector.scalar(sig, 1.0)
-        j = 0
-        step2 = False
-    elif name in ("sin", "sinh"):
-        term = u
+    n, neg_mask = sig.n, sig.neg_mask
+    step2 = name != "exp"
+    ib, vb = _blade_arrays((u * u if step2 else u)._coeffs, np.float64)
+    if 1 << (2 * n) <= _accel.CHUNK_PAIRS:
+        m = _accel.step_matrix(ib, vb, neg_mask, n)
+
+        def times_f(x):
+            return x @ m
+
+    else:
+
+        def times_f(x):
+            nz = np.flatnonzero(x)
+            return _accel.product_dense(nz, x[nz], ib, vb, neg_mask, n)
+
+    term = np.zeros(1 << n)
+    if name in ("sin", "sinh"):
+        ia, va = _blade_arrays(u._coeffs, np.float64)
+        term[ia] = va
         j = 1
-        step2 = True
-    else:  # cos, cosh
-        term = ApproxMultivector.scalar(sig, 1.0)
+    else:  # exp, cos, cosh
+        term[0] = 1.0
         j = 0
-        step2 = True
     alternating = name in ("sin", "cos")
-    uu = u * u if step2 else None
-    acc = ApproxMultivector.zero(sig)
-    sign = 1.0
-    for _ in range(policy.max_terms):
-        if term.max_abs() <= policy.tolerance * max(1.0, acc.max_abs()):
-            return acc
-        acc = acc + (term if sign > 0 else -term)
-        if step2:
-            term = (term * uu) * (1.0 / ((j + 1) * (j + 2)))
-            j += 2
-        else:
-            term = (term * u) * (1.0 / (j + 1))
-            j += 1
-        if alternating:
-            sign = -sign
+    acc = np.zeros(1 << n)
+    subtract = False
+    # overflow surfaces as inf/NaN in the result or as a term that never
+    # drops below tolerance, so numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(policy.max_terms):
+            if np.abs(term).max() <= policy.tolerance * max(1.0, np.abs(acc).max()):
+                return ApproxMultivector._make(sig, _dense_coeffs(acc))
+            if subtract:
+                acc -= term
+            else:
+                acc += term
+            term = times_f(term)
+            if step2:
+                term *= 1.0 / ((j + 1) * (j + 2))
+                j += 2
+            else:
+                term *= 1.0 / (j + 1)
+                j += 1
+            subtract ^= alternating
+        top = np.abs(term).max()
     raise SeriesConvergenceError(
-        f"{name} series did not converge within {policy.max_terms} terms (max coefficient {term.max_abs():.3g})"
+        f"{name} series did not converge within {policy.max_terms} terms (max coefficient {top:.3g})"
     )
 
 

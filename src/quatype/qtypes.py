@@ -426,6 +426,12 @@ def random_of_type(sig: Signature, rng: Random, members: QType) -> Multivector:
     order.  Raises :class:`InfeasibleDeclarationError` when some member
     residue has no grade <= n.
     """
+    return sample_blades(sig, rng, _residue_groups(sig, members))
+
+
+@lru_cache(maxsize=None)
+def _residue_groups(sig: Signature, members: frozenset) -> tuple[tuple[int, ...], ...]:
+    """The blade groups of :func:`random_of_type`, checked feasible once per (signature, type)."""
     members = QType(members)
     missing = members - feasible_residues(sig)
     if missing:
@@ -433,7 +439,7 @@ def random_of_type(sig: Signature, rng: Random, members: QType) -> Multivector:
             f"type {members.render()} has no grade for residue(s) {sorted(missing)} in {sig}"
         )
     n = sig.n
-    return sample_blades(sig, rng, [blades_of_grades(n, tuple(range(r, n + 1, 4))) for r in sorted(members)])
+    return tuple(blades_of_grades(n, tuple(range(r, n + 1, 4))) for r in sorted(members))
 
 
 def random_of_rank(sig: Signature, rng: Random, rank: int) -> Multivector:

@@ -146,6 +146,7 @@ def test_exit_code_non_finite_float_result():
     proc = run_cli("check", "--sig", "3,0", "exp(U:1~)**400")
     assert proc.returncode == 2
     assert "non-finite coefficient" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
     assert "PASS" not in proc.stdout
 
 

@@ -136,3 +136,21 @@ def test_integral_fraction_sums_reach_the_int64_kernel(monkeypatch):
     assert whole == u and len(whole) * len(u) >= algebra._DENSE_MIN_PAIRS
     assert whole * u == Multivector(sig, _mul_sparse(u._coeffs, u._coeffs, sig.neg_mask, False))
     assert dtypes == [np.dtype(np.int64)]
+
+
+def test_step_matrix_matches_sparse_product_exactly():
+    # small integers keep every float64 sum exact, so x @ M equals x * f bit for bit
+    rng = random.Random(21)
+    for n in range(1, 6):
+        for p in range(n + 1):
+            sig = Signature(p, n - p)
+            for _ in range(4):
+                x = {b: float(c) for b, c in random_multivector(sig, rng)._coeffs.items()}
+                f = {b: float(c) for b, c in random_multivector(sig, rng)._coeffs.items()}
+                m = _accel.step_matrix(*_arrays(f, np.float64), sig.neg_mask, n)
+                dense_x = np.zeros(1 << n)
+                dense_x[list(x)] = list(x.values())
+                want = np.zeros(1 << n)
+                for b, v in _mul_sparse(x, f, sig.neg_mask, False).items():
+                    want[b] = v
+                assert (dense_x @ m == want).all(), (sig, x, f)

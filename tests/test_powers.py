@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from quatype import _accel
 from quatype.algebra import (
     ApproxMultivector,
     Multivector,
@@ -313,6 +314,65 @@ def test_series_policy_and_divergence():
         series_fn("tanh", big)
     with pytest.raises(TypeError):
         series_fn("exp", Multivector.scalar(Signature(2, 0), 1))
+
+
+def dict_series_oracle(name, u, policy=SeriesPolicy()):
+    """Oracle: the series loop on sparse multivectors, one product, sum and scaling per term."""
+    sig = u.sig
+    step2 = name != "exp"
+    if name in ("sin", "sinh"):
+        term, j = u, 1
+    else:
+        term, j = ApproxMultivector.scalar(sig, 1.0), 0
+    alternating = name in ("sin", "cos")
+    f = u * u if step2 else u
+    acc = ApproxMultivector.zero(sig)
+    sign = 1.0
+    for _ in range(policy.max_terms):
+        if term.max_abs() <= policy.tolerance * max(1.0, acc.max_abs()):
+            return acc
+        acc = acc + (term if sign > 0 else -term)
+        if step2:
+            term = (term * f) * (1.0 / ((j + 1) * (j + 2)))
+            j += 2
+        else:
+            term = (term * f) * (1.0 / (j + 1))
+            j += 1
+        if alternating:
+            sign = -sign
+    raise SeriesConvergenceError(name)
+
+
+# the step matrix serves n <= 8; CHUNK_PAIRS = 1 sends every n to the kernel branch
+@pytest.mark.parametrize("branch", ["matrix", "kernel"])
+def test_series_matches_dict_oracle(branch, monkeypatch):
+    if branch == "kernel":
+        monkeypatch.setattr(_accel, "CHUNK_PAIRS", 1)
+    rng = random.Random(33)
+    for n in range(1, 7):
+        for p in sorted({n, n // 2, 0}):
+            sig = Signature(p, n - p)
+            for _ in range(3):
+                u = ApproxMultivector.from_exact(random_multivector(sig, rng)) * (1.0 / 9.0)
+                for name in ("exp", "sin", "cos", "sinh", "cosh"):
+                    got, ref = series_fn(name, u), dict_series_oracle(name, u)
+                    bound = 1e-12 * max(1.0, ref.max_abs())
+                    for b in set(got._coeffs) | set(ref._coeffs):
+                        assert abs(got.coefficient(b) - ref.coefficient(b)) <= bound, (sig, name, b)
+
+
+def test_series_exp_vector_closed_form_n9():
+    # u u = |u|^2 for a Euclidean vector, so exp(u) = cosh|u| + sinh|u| u/|u|;
+    # 4^9 blade pairs exceed one chunk, so this runs the kernel branch
+    rng = random.Random(9)
+    sig = Signature(9, 0)
+    u = ApproxMultivector(sig, {1 << i: rng.uniform(-0.5, 0.5) for i in range(9)})
+    norm = math.sqrt(sum(v * v for _, v in u.terms()))
+    got = series_fn("exp", u)
+    want = {0: math.cosh(norm), **{b: math.sinh(norm) * v / norm for b, v in u.terms()}}
+    for b in set(got._coeffs) | set(want):
+        # e_i e_j + e_j e_i cancels only to rounding: the bivector part is noise
+        assert got.coefficient(b) == pytest.approx(want.get(b, 0.0), rel=1e-12, abs=1e-15), b
 
 
 # ---------------------------------------------------------------------------
