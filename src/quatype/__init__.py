@@ -37,8 +37,6 @@ from .brackets import (
 )
 from .dsl import CheckReport, ParseError, UntypedVariableError, check, infer, parse, render
 from .powers import (
-    SeriesConvergenceError,
-    SeriesPolicy,
     cl_power,
     ext_power,
     ext_series_fn,

@@ -1,4 +1,4 @@
-"""Dense blade-pair product kernel for the hot verification loops.
+"""Dense blade-pair product kernel and spinor tables for the hot verification loops.
 
 A sparse multivector with machine-sized coefficients is flattened to
 (blade, value) arrays, and the geometric or exterior product scatter-adds
@@ -13,9 +13,13 @@ GF(2), so s is odd exactly when popcount(w[a] & b) is, with
     w[a] = (a & neg_mask) ^ L(a),  bit j of L(a) = parity of popcount(a >> (j+1)).
 
 ``w`` is one int64 vector of 2^n entries per signature, built on first use
-and cached.  Right multiplication by a fixed f is linear, so a series that
-multiplies by f at every step can build its 2^n x 2^n matrix once
-(:func:`step_matrix`) when it fits one chunk.
+and cached.
+
+The Clifford series run on the Jordan–Wigner spinor representation (Lounesto,
+*Clifford Algebras and Spinors*, 2001), faithful into complex d x d matrices,
+d = 2^ceil(n/2): generator j is Z...Z X I...I (j even) or Z...Z Y I...I (j odd)
+on qubit j >> 1, times i when it squares to -1.  Each blade matrix is
+monomial, so a multivector goes there by one scatter and back by one gather.
 """
 
 from __future__ import annotations
@@ -65,14 +69,56 @@ def product_dense(ia, va, ib, vb, neg_mask, n, exterior=False):
     return out
 
 
-def step_matrix(ib, vb, neg_mask, n):
-    """The float64 matrix M of right multiplication by f, so that x @ M = x f.
+# i^k for k = popcount(b & neg_mask) mod 4: the phase a signature puts on blade b
+_I_POWERS = np.array([1, 1j, -1, -1j])
 
-    ``ib``/``vb`` are the blades and values of f.  Row a of M is e_a f:
-    M[a, a ^ b] = (-1)^popcount(w[a] & b) f[b].  It has 4^n entries.
+
+@lru_cache(maxsize=16)
+def spinor_form(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The spinor matrices Γ_b of the 2^n blades of Cl(n, 0).
+
+    Returns (col, phase): row r of Γ_b holds its one nonzero entry,
+    phase[b, r] in {±1, ±i}, in column col[b, r] (a uint8, as d <= 64 for
+    n <= 12).  Another signature puts the factor i^popcount(b & neg_mask)
+    on Γ_b, so one table serves every signature with n generators.
     """
-    a = np.arange(1 << n, dtype=np.int64)[:, None]
-    odd = np.bitwise_count(sign_form(n, neg_mask)[:, None] & ib) & 1
-    m = np.zeros((1 << n, 1 << n))
-    m[a, a ^ ib] = np.subtract(1, odd << 1, dtype=np.float64) * vb
-    return m
+    d = 1 << ((n + 1) >> 1)
+    r = np.arange(d)
+    col = np.empty((1 << n, d), dtype=np.uint8)
+    col[0] = r
+    phase = np.ones((1 << n, d), dtype=np.complex128)
+    for j in range(n):
+        k = j >> 1
+        # the Z-string sign of the lower qubits, then X (j even) or Y (j odd)
+        gamma = 1 - 2 * (np.bitwise_count(r & ((1 << k) - 1)) & 1).astype(np.complex128)
+        if j & 1:
+            gamma *= np.where(r >> k & 1, 1j, -1j)
+        lo = 1 << j
+        # Γ_{b | 1<<j} = Γ_b γ_j for every b below 1 << j
+        col[lo : 2 * lo] = col[:lo] ^ (1 << k)
+        phase[lo : 2 * lo] = phase[:lo] * gamma[col[:lo]]
+    col.flags.writeable = False
+    phase.flags.writeable = False
+    return col, phase
+
+
+def to_spinor(ib, vb, neg_mask, n):
+    """The complex matrix Σ_b v_b Γ_b of the blades ``ib`` and float values ``vb``."""
+    col, phase = spinor_form(n)
+    d = phase.shape[1]
+    w = (vb * _I_POWERS[np.bitwise_count(ib & neg_mask) & 3])[:, None] * phase[ib]
+    cells = (np.arange(0, d * d, d) + col[ib]).ravel()
+    m = np.empty(d * d, dtype=np.complex128)
+    m.real = np.bincount(cells, w.real.ravel(), d * d)
+    m.imag = np.bincount(cells, w.imag.ravel(), d * d)
+    return m.reshape(d, d)
+
+
+def from_spinor(m, neg_mask, n):
+    """The real coefficients c_b = Re tr(Γ_bᴴ m) / d of a spinor matrix, one per blade."""
+    col, phase = spinor_form(n)
+    d = phase.shape[1]
+    # Re(conj(z)) = Re(z), so tr(Γ_bᴴ m) may be summed as phase * conj(m)
+    t = np.einsum("br,br->b", phase, m.conj().ravel().take(np.arange(0, d * d, d) + col))
+    t *= _I_POWERS[np.bitwise_count(np.arange(1 << n) & neg_mask) & 3]
+    return t.real / d

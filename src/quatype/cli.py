@@ -15,7 +15,6 @@ from typing import Sequence
 
 from .algebra import Multivector, Signature, SignatureMismatchError, format_multivector, from_obj
 from .dsl import CheckReport, ParseError, UntypedVariableError, check, classify, evaluate, infer, parse, parse_file
-from .powers import SeriesConvergenceError
 from .qtypes import (
     InfeasibleDeclarationError,
     klein_table,
@@ -204,7 +203,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         UntypedVariableError,
         InfeasibleDeclarationError,
         SignatureMismatchError,
-        SeriesConvergenceError,
         KeyError,
         ValueError,
     ) as exc:

@@ -32,7 +32,7 @@ from typing import Iterator, Mapping, Union
 
 from .algebra import ApproxMultivector, Multivector, Signature
 from .brackets import kfold
-from .powers import ext_power, ext_series_fn, series_fn, DEFAULT_POLICY, SERIES_NAMES, SeriesConvergenceError
+from .powers import ext_power, ext_series_fn, series_fn, SERIES_NAMES
 from .qtypes import (
     ANTICOMMUTATOR,
     BracketKind,
@@ -529,7 +529,7 @@ def _evaluate(e: Expr, env: Mapping[str, object], sig: Signature, cls):
         operand = _evaluate(e.operand, env, sig, cls)
         if e.exterior:
             return ext_series_fn(e.series, operand)
-        return series_fn(e.series, operand, DEFAULT_POLICY)
+        return series_fn(e.series, operand)
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -617,8 +617,8 @@ def check(e: Expr | str, sig: Signature, trials: int = 100, seed: int = 0) -> Ch
     draw comes out all zero is patched at one random blade.  The trial
     evaluates exactly, or in floats when Clifford series are involved, and
     records any containment violation.  A trial whose evaluation raises
-    ``ValueError`` or :class:`SeriesConvergenceError` aborts the check with
-    the error prefixed by ``trial i (seed s): ``.
+    ``ValueError`` (an overflow to a non-finite coefficient, say) aborts the
+    check with the error prefixed by ``trial i (seed s): ``.
     """
     if isinstance(e, str):
         e = parse(e)
@@ -646,7 +646,7 @@ def check(e: Expr | str, sig: Signature, trials: int = 100, seed: int = 0) -> Ch
         env = {name: cls.from_exact(_sample_variable(sig, rng, var)) for name, var in by_name}
         try:
             got = classify(_evaluate(e, env, sig, cls))
-        except (ValueError, SeriesConvergenceError) as exc:
+        except ValueError as exc:
             exc.args = (f"trial {i} (seed {trial_seed}): {exc}", *exc.args[1:])
             raise
         if not got <= inferred:

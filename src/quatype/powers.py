@@ -7,22 +7,16 @@ a step-4 arithmetic progression whose endpoints depend on the parities of k
 and m; the implementation clips that progression by iterating the two-factor
 grade envelope, which reproduces the dimension-aware refinements for every m.
 
-Power series of the usual five elementary functions come in two flavors:
-the Clifford-product series run in floating point with a relative-tolerance
-truncation policy (they rarely terminate), while the exterior series are
-finite and evaluated in exact rational arithmetic.  A Clifford series keeps
-its term and partial sum as dense float64 vectors of length 2^n and
-multiplies the term by the same factor at every step: through that factor's
-step matrix, built once per series, when its 4^n entries fit one kernel
-chunk (n <= 8), else through the dense kernel.  Its float results may differ
-in the last bits from a sum of sparse products, since the order of the
-additions differs.
+Of the five elementary functions, the Clifford series run in floating point
+as matrix functions in the spinor representation of :mod:`quatype._accel`,
+by scaling and doubling (Higham, "The scaling and squaring method for the
+matrix exponential revisited", SIAM J. Matrix Anal. Appl. 2005); the
+exterior series are finite and evaluated in exact rational arithmetic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -33,27 +27,6 @@ from .brackets import product_grade_envelope
 from .qtypes import QType, infer_power_set, series_type
 
 SERIES_NAMES = ("exp", "sin", "cos", "sinh", "cosh")
-
-
-class SeriesConvergenceError(RuntimeError):
-    """A truncated series failed to meet tolerance within the term budget."""
-
-
-@dataclass(frozen=True)
-class SeriesPolicy:
-    """Truncation policy for the floating-point series."""
-
-    tolerance: float = 1e-12
-    max_terms: int = 200
-
-    def __post_init__(self) -> None:
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be at least 1")
-
-
-DEFAULT_POLICY = SeriesPolicy()
 
 
 def cl_power(u, m: int):
@@ -162,74 +135,56 @@ def predict_series_qtype(name: str, t: int) -> QType:
 # floating-point Clifford series
 
 
-def series_fn(name: str, u: ApproxMultivector, policy: SeriesPolicy = DEFAULT_POLICY) -> ApproxMultivector:
-    """Evaluate exp/sin/cos/sinh/cosh of u by truncated power series.
+# Taylor degree of the (even, odd) pair in Y = ±X^2; at the ∞-norm 1/2 that
+# X is scaled to, the first omitted term, 0.5^16 / 16!, is below 1e-18
+_SERIES_DEGREE = 7
+# row 0 sums the even series in Y, row 1 the odd one (before its factor X)
+_PAIR = np.array([[1 / math.factorial(2 * k + odd) for k in range(_SERIES_DEGREE + 1)] for odd in (0, 1)])
 
-    Terms accumulate until one drops below tolerance relative to the partial
-    sum (or to 1, whichever is larger); exceeding the term budget raises
-    :class:`SeriesConvergenceError`, which flags inputs whose coefficients
-    grow before factorial decay kicks in.
 
-    The term and the partial sum are dense float64 vectors of length 2^n.
-    Each step multiplies the term by f = u (exp) or f = u u (the others):
-    by one matrix-vector product with the step matrix of f, built once per
-    series, when its 4^n entries fit one kernel chunk (4^n <= CHUNK_PAIRS),
-    else by the dense kernel over the term's nonzero blades.  The float
-    results may differ in the last bits from those of sparse products.
+def series_fn(name: str, u: ApproxMultivector) -> ApproxMultivector:
+    """Evaluate exp/sin/cos/sinh/cosh of u as a matrix function.
+
+    u maps to its spinor matrix X, scaled by 2^-s to ∞-norm at most 1/2.  The
+    even/odd Taylor pair (cosh, sinh) of the scaled X, or (cos, sin), is
+    summed in Y = X^2 (or -X^2) to a fixed degree and doubled s times,
+    (C, S) -> (C^2 ± S^2, 2 C S); exp squares C + S s times, the same
+    doubling summed.  The coefficients come back as Re tr(Γ_bᴴ F) / d.  A
+    non-finite coefficient in u, or an overflow, gives non-finite results.
     """
     if name not in SERIES_NAMES:
         raise ValueError(f"unknown series {name!r}")
     if not isinstance(u, ApproxMultivector):
         raise TypeError("Clifford series run on ApproxMultivector inputs")
     sig = u.sig
-    n, neg_mask = sig.n, sig.neg_mask
-    step2 = name != "exp"
-    ib, vb = _blade_arrays((u * u if step2 else u)._coeffs, np.float64)
-    if 1 << (2 * n) <= _accel.CHUNK_PAIRS:
-        m = _accel.step_matrix(ib, vb, neg_mask, n)
-
-        def times_f(x):
-            return x @ m
-
-    else:
-
-        def times_f(x):
-            nz = np.flatnonzero(x)
-            return _accel.product_dense(nz, x[nz], ib, vb, neg_mask, n)
-
-    term = np.zeros(1 << n)
-    if name in ("sin", "sinh"):
-        ia, va = _blade_arrays(u._coeffs, np.float64)
-        term[ia] = va
-        j = 1
-    else:  # exp, cos, cosh
-        term[0] = 1.0
-        j = 0
-    alternating = name in ("sin", "cos")
-    acc = np.zeros(1 << n)
-    subtract = False
-    # overflow surfaces as inf/NaN in the result or as a term that never
-    # drops below tolerance, so numpy's warnings would only repeat it
+    trig = name in ("sin", "cos")
+    # non-finite values only pass through to the result; numpy's warnings
+    # would repeat what classify reports
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(policy.max_terms):
-            if np.abs(term).max() <= policy.tolerance * max(1.0, np.abs(acc).max()):
-                return ApproxMultivector._make(sig, _dense_coeffs(acc))
-            if subtract:
-                acc -= term
-            else:
-                acc += term
-            term = times_f(term)
-            if step2:
-                term *= 1.0 / ((j + 1) * (j + 2))
-                j += 2
-            else:
-                term *= 1.0 / (j + 1)
-                j += 1
-            subtract ^= alternating
-        top = np.abs(term).max()
-    raise SeriesConvergenceError(
-        f"{name} series did not converge within {policy.max_terms} terms (max coefficient {top:.3g})"
-    )
+        x = _accel.to_spinor(*_blade_arrays(u._coeffs, np.float64), sig.neg_mask, sig.n)
+        # 2^steps >= 2 ‖X‖∞; frexp(inf or nan) has exponent 0, so such an X is not scaled
+        steps = max(0, math.frexp(2 * np.abs(x).sum(axis=1).max())[1])
+        x *= 0.5**steps
+        d = len(x)
+        powers = np.empty((_SERIES_DEGREE + 1, d, d), dtype=np.complex128)
+        powers[0] = np.eye(d)
+        np.matmul(x, -x if trig else x, out=powers[1])
+        for k in range(1, _SERIES_DEGREE):
+            np.matmul(powers[k], powers[1], out=powers[k + 1])
+        c, s = (_PAIR @ powers.reshape(_SERIES_DEGREE + 1, d * d)).reshape(2, d, d)
+        s = x @ s
+        if name == "exp":
+            # C' + S' = (C + S)^2: summed before doubling, so an eigenvalue
+            # with a large negative real part does not cancel in cosh + sinh
+            f = c + s
+            for _ in range(steps):
+                f = f @ f
+        else:
+            for _ in range(steps):
+                c, s = c @ c - s @ s if trig else c @ c + s @ s, 2 * (c @ s)
+            f = s if name in ("sin", "sinh") else c
+        coeffs = _accel.from_spinor(f, sig.neg_mask, sig.n)
+    return ApproxMultivector._make(sig, _dense_coeffs(coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -152,10 +152,17 @@ def test_exit_code_non_finite_float_result():
 
 @pytest.mark.parametrize(
     "sig, expr",
-    [("3,0", "exp(U:1~)**400"), ("4,1", "cosh([U:1,V:2])")],
+    [("3,0", "exp(U:1~)**400"), ("3,0", "exp(exp(U:0~))")],
 )
 def test_trial_error_names_its_seed(sig, expr):
     proc = run_cli("check", "--sig", sig, expr)
     assert proc.returncode == 2
     assert "error: trial " in proc.stderr
     assert "(seed " in proc.stderr
+
+
+def test_series_of_large_bracket_passes():
+    # the bracket reaches coefficients in the hundreds; the series must not abort
+    proc = run_cli("check", "--sig", "4,1", "cosh([U:1,V:2])")
+    assert proc.returncode == 0, proc.stderr
+    assert "PASS" in proc.stdout

@@ -302,6 +302,13 @@ def test_check_series_expression():
     assert report.inferred == QType({0, 3})
 
 
+@pytest.mark.parametrize("expr", ["sin(U:1)", "cos(U:1)", "sinh(U:2)", "cosh(U:2)"])
+def test_check_series_has_no_false_failures(expr):
+    # large operands: float noise in the series once put residues outside the type
+    report = check(expr, Signature(5, 0), trials=200, seed=0)
+    assert report.failures == []
+
+
 def test_check_infeasible_declarations():
     with pytest.raises(InfeasibleDeclarationError):
         check("U:#5 ** 2", Signature(3, 0))

@@ -138,19 +138,27 @@ def test_integral_fraction_sums_reach_the_int64_kernel(monkeypatch):
     assert dtypes == [np.dtype(np.int64)]
 
 
-def test_step_matrix_matches_sparse_product_exactly():
-    # small integers keep every float64 sum exact, so x @ M equals x * f bit for bit
-    rng = random.Random(21)
-    for n in range(1, 6):
+def test_spinor_matrices_multiply_like_blades():
+    # entries are 0, ±1 and ±i, so every matrix product is exact
+    for n in range(1, 7):
         for p in range(n + 1):
             sig = Signature(p, n - p)
-            for _ in range(4):
-                x = {b: float(c) for b, c in random_multivector(sig, rng)._coeffs.items()}
-                f = {b: float(c) for b, c in random_multivector(sig, rng)._coeffs.items()}
-                m = _accel.step_matrix(*_arrays(f, np.float64), sig.neg_mask, n)
-                dense_x = np.zeros(1 << n)
-                dense_x[list(x)] = list(x.values())
-                want = np.zeros(1 << n)
-                for b, v in _mul_sparse(x, f, sig.neg_mask, False).items():
-                    want[b] = v
-                assert (dense_x @ m == want).all(), (sig, x, f)
+            one = np.ones(1)
+            gamma = np.stack([_accel.to_spinor(np.array([b]), one, sig.neg_mask, n) for b in range(1 << n)])
+            products = gamma[:, None] @ gamma[None, :]
+            for a in range(1 << n):
+                for b in range(1 << n):
+                    sign, target = blade_product(sig, a, b)
+                    assert (products[a, b] == sign * gamma[target]).all(), (sig, a, b)
+
+
+@pytest.mark.parametrize("p, q", [(11, 0), (6, 5), (12, 0), (6, 6)])
+def test_spinor_round_trip_is_exact(p, q):
+    sig = Signature(p, q)
+    u = random_multivector(sig, random.Random(p * 13 + q))
+    ib, vb = _arrays(u._coeffs, np.float64)
+    m = _accel.to_spinor(ib, vb, sig.neg_mask, sig.n)
+    back = _accel.from_spinor(m, sig.neg_mask, sig.n)
+    want = np.zeros(1 << sig.n)
+    want[ib] = vb
+    assert (back == want).all()
