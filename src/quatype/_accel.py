@@ -1,4 +1,4 @@
-"""Dense blade-pair product kernel and spinor tables for the hot verification loops.
+"""Dense blade-pair product kernel and spinor form for the hot verification loops.
 
 A sparse multivector with machine-sized coefficients is flattened to
 (blade, value) arrays, and the geometric or exterior product scatter-adds
@@ -17,9 +17,9 @@ and cached.
 
 The Clifford series run on the Jordan–Wigner spinor representation (Lounesto,
 *Clifford Algebras and Spinors*, 2001), faithful into complex d x d matrices,
-d = 2^ceil(n/2): generator j is Z...Z X I...I (j even) or Z...Z Y I...I (j odd)
-on qubit j >> 1, times i when it squares to -1.  Each blade matrix is
-monomial, so a multivector goes there by one scatter and back by one gather.
+d = 2^ceil(n/2).  Each blade's matrix is a signed Pauli string, fixed by two
+d-bit masks and a phase, so a multivector goes there and back by one d x d
+matrix product (:func:`spinor_form`).
 """
 
 from __future__ import annotations
@@ -69,56 +69,51 @@ def product_dense(ia, va, ib, vb, neg_mask, n, exterior=False):
     return out
 
 
-# i^k for k = popcount(b & neg_mask) mod 4: the phase a signature puts on blade b
-_I_POWERS = np.array([1, 1j, -1, -1j])
+@lru_cache(maxsize=64)
+def spinor_form(n: int, neg_mask: int) -> tuple[np.ndarray, ...]:
+    """The spinor matrices Γ_b of the 2^n blades of Cl with n generators and ``neg_mask``.
 
-
-@lru_cache(maxsize=16)
-def spinor_form(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The spinor matrices Γ_b of the 2^n blades of Cl(n, 0).
-
-    Returns (col, phase): row r of Γ_b holds its one nonzero entry,
-    phase[b, r] in {±1, ±i}, in column col[b, r] (a uint8, as d <= 64 for
-    n <= 12).  Another signature puts the factor i^popcount(b & neg_mask)
-    on Γ_b, so one table serves every signature with n generators.
+    Returns (x, z, c, h, cells): Γ_b[r, r ^ x[b]] = c[b] (-1)^popcount(z[b] & r),
+    with c[b] in {±1, ±i}; h[r, s] = (-1)^popcount(r & s) is the d x d sign
+    matrix, and cells[x, r] is the flat index of entry (r, r ^ x) of a d x d matrix.
     """
     d = 1 << ((n + 1) >> 1)
-    r = np.arange(d)
-    col = np.empty((1 << n, d), dtype=np.uint8)
-    col[0] = r
-    phase = np.ones((1 << n, d), dtype=np.complex128)
+    x, z = np.zeros((2, 1 << n), dtype=np.int64)
+    c = np.ones(1 << n, dtype=np.complex128)
     for j in range(n):
         k = j >> 1
-        # the Z-string sign of the lower qubits, then X (j even) or Y (j odd)
-        gamma = 1 - 2 * (np.bitwise_count(r & ((1 << k) - 1)) & 1).astype(np.complex128)
-        if j & 1:
-            gamma *= np.where(r >> k & 1, 1j, -1j)
+        # the Z string of the lower qubits, then X (j even) or Y = -iXZ (j odd),
+        # times i when the generator squares to -1
+        zj = (2 << k) - 1 if j & 1 else (1 << k) - 1
+        cj = (-1j if j & 1 else 1) * (1j if neg_mask >> j & 1 else 1)
         lo = 1 << j
         # Γ_{b | 1<<j} = Γ_b γ_j for every b below 1 << j
-        col[lo : 2 * lo] = col[:lo] ^ (1 << k)
-        phase[lo : 2 * lo] = phase[:lo] * gamma[col[:lo]]
-    col.flags.writeable = False
-    phase.flags.writeable = False
-    return col, phase
+        x[lo : 2 * lo] = x[:lo] ^ (1 << k)
+        z[lo : 2 * lo] = z[:lo] ^ zj
+        c[lo : 2 * lo] = cj * np.where(np.bitwise_count(x[:lo] & zj) & 1, -c[:lo], c[:lo])
+    r = np.arange(d)
+    h = np.where(np.bitwise_count(r[:, None] & r) & 1, -1.0, 1.0)
+    cells = r * d + (r ^ r[:, None])
+    for table in (x, z, c, h, cells):
+        table.flags.writeable = False
+    return x, z, c, h, cells
 
 
 def to_spinor(ib, vb, neg_mask, n):
     """The complex matrix Σ_b v_b Γ_b of the blades ``ib`` and float values ``vb``."""
-    col, phase = spinor_form(n)
-    d = phase.shape[1]
-    w = (vb * _I_POWERS[np.bitwise_count(ib & neg_mask) & 3])[:, None] * phase[ib]
-    cells = (np.arange(0, d * d, d) + col[ib]).ravel()
+    x, z, c, h, cells = spinor_form(n, neg_mask)
+    d = len(h)
+    # p[x, z] holds the Pauli string's weight; p @ h puts row r's signs on it
+    p = np.zeros((d, d), dtype=np.complex128)
+    p[x[ib], z[ib]] = vb * c[ib]
     m = np.empty(d * d, dtype=np.complex128)
-    m.real = np.bincount(cells, w.real.ravel(), d * d)
-    m.imag = np.bincount(cells, w.imag.ravel(), d * d)
+    m[cells] = p @ h
     return m.reshape(d, d)
 
 
 def from_spinor(m, neg_mask, n):
     """The real coefficients c_b = Re tr(Γ_bᴴ m) / d of a spinor matrix, one per blade."""
-    col, phase = spinor_form(n)
-    d = phase.shape[1]
-    # Re(conj(z)) = Re(z), so tr(Γ_bᴴ m) may be summed as phase * conj(m)
-    t = np.einsum("br,br->b", phase, m.conj().ravel().take(np.arange(0, d * d, d) + col))
-    t *= _I_POWERS[np.bitwise_count(np.arange(1 << n) & neg_mask) & 3]
-    return t.real / d
+    x, z, c, h, cells = spinor_form(n, neg_mask)
+    # h @ h = d I, so this inverts to_spinor; 1 / c[b] = conj(c[b])
+    p = m.ravel()[cells] @ h
+    return (p[x, z] * c.conj()).real / len(h)

@@ -10,12 +10,11 @@ share one class body and differ only in their coefficient domain.
 
 All values are immutable after construction and every operation is a pure
 function.  Validation happens at the public boundary only: ``__init__``,
-:func:`from_obj`, :func:`approx_from_obj`, ``from_exact`` and multiplication
-by a scalar check every blade and coefficient.  Arithmetic results,
-projections and the typed samplers are built by the trusted ``_make`` and
-keep two invariants without re-checking: no coefficient is zero, and every
-integral exact coefficient is an ``int`` (so the next product can take the
-int64 kernel).
+:func:`from_obj`, ``from_exact`` and multiplication by a scalar check every
+blade and coefficient.  Arithmetic results, projections and the typed
+samplers are built by the trusted ``_make`` and keep two invariants without
+re-checking: no coefficient is zero, and every integral exact coefficient is
+an ``int`` (so the next product can take the int64 kernel).
 
 Products of at least ``_DENSE_MIN_PAIRS`` blade pairs run on the dense
 kernel in :mod:`quatype._accel`: float64 for approximate operands, and int64
@@ -557,22 +556,3 @@ def to_json(u: Multivector) -> str:
 
 def from_json(text: str) -> Multivector:
     return from_obj(json.loads(text))
-
-
-def approx_to_obj(u: ApproxMultivector) -> dict:
-    """Same layout as :func:`to_obj` but with decimal "coeff" entries."""
-    terms = [{"blade": list(blade_indices(b)), "coeff": v} for b, v in u.terms()]
-    return {"sig": [u.sig.p, u.sig.q], "terms": terms}
-
-
-def approx_from_obj(obj: Mapping) -> ApproxMultivector:
-    try:
-        p, q = obj["sig"]
-        sig = Signature(int(p), int(q))
-        coeffs: dict[int, float] = {}
-        for term in obj["terms"]:
-            bits = blade_bits(term["blade"])
-            coeffs[bits] = coeffs.get(bits, 0.0) + float(term["coeff"])
-        return ApproxMultivector(sig, coeffs)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed multivector object: {exc}") from exc

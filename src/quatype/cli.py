@@ -13,15 +13,9 @@ import json
 import sys
 from typing import Sequence
 
-from .algebra import Multivector, Signature, SignatureMismatchError, format_multivector, from_obj
-from .dsl import CheckReport, ParseError, UntypedVariableError, check, classify, evaluate, infer, parse, parse_file
-from .qtypes import (
-    InfeasibleDeclarationError,
-    klein_table,
-    pair_musical_table,
-    threefold_fixed_table,
-    triple_table,
-)
+from .algebra import Multivector, Signature, format_multivector, from_obj
+from .dsl import CheckReport, check, classify, evaluate, infer, parse, parse_file
+from .qtypes import klein_table, pair_musical_table, threefold_fixed_table, triple_table
 
 _USAGE_ERROR = 2
 _CHECK_FAILURE = 1
@@ -197,15 +191,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        CliError,
-        ParseError,
-        UntypedVariableError,
-        InfeasibleDeclarationError,
-        SignatureMismatchError,
-        KeyError,
-        ValueError,
-    ) as exc:
+    except (CliError, KeyError, ValueError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return _USAGE_ERROR

@@ -98,18 +98,9 @@ class QType(frozenset):
         return f"QType({sorted(self)})"
 
 
-MAIN_TYPES = tuple(QType((t,)) for t in range(4))
-FULL_TYPE = QType(_RESIDUES)
-
-
 class BracketKind(enum.Enum):
     COMMUTATOR = "commutator"
     ANTICOMMUTATOR = "anticommutator"
-
-    @property
-    def reversal_sign(self) -> int:
-        """Sign of the reversed-order product in the defining expression."""
-        return -1 if self is BracketKind.COMMUTATOR else 1
 
     def __str__(self) -> str:
         return self.value

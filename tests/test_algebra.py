@@ -389,17 +389,6 @@ def test_from_obj_validation():
         from_obj({"terms": []})
 
 
-def test_approx_json_round_trip():
-    from quatype.algebra import ApproxMultivector, approx_from_obj, approx_to_obj
-
-    s = Signature(2, 1)
-    u = ApproxMultivector(s, {0: 0.5, 0b101: -1.25})
-    obj = approx_to_obj(u)
-    assert obj == {"sig": [2, 1], "terms": [{"blade": [], "coeff": 0.5}, {"blade": [1, 3], "coeff": -1.25}]}
-    v = approx_from_obj(json.loads(json.dumps(obj)))
-    assert v.sig == s and v.terms() == u.terms()
-
-
 def test_blade_name_high_indices():
     s = Signature(11, 0)
     bits = blade_bits([1, 10, 11])

@@ -162,3 +162,37 @@ def test_spinor_round_trip_is_exact(p, q):
     want = np.zeros(1 << sig.n)
     want[ib] = vb
     assert (back == want).all()
+
+
+@pytest.mark.parametrize("n", range(7, 13))
+def test_spinor_generators_square_to_metric_and_anticommute(n):
+    for p in range(n + 1):
+        sig = Signature(p, n - p)
+        one = np.ones(1)
+        gamma = np.stack([_accel.to_spinor(np.array([1 << j]), one, sig.neg_mask, n) for j in range(n)])
+        eye = np.eye(len(gamma[0]))
+        for i in range(n):
+            assert (gamma[i] @ gamma[i] == sig.metric(i + 1) * eye).all(), (sig, i)
+            for j in range(i):
+                assert (gamma[i] @ gamma[j] == -(gamma[j] @ gamma[i])).all(), (sig, i, j)
+
+
+@pytest.mark.parametrize("n", range(7, 13))
+def test_spinor_matrices_multiply_like_blades_above_six(n):
+    rng = random.Random(n)
+    one = np.ones(1)
+    for p in range(n + 1):
+        sig = Signature(p, n - p)
+
+        def gamma(b):
+            return _accel.to_spinor(np.array([b]), one, sig.neg_mask, n)
+
+        for _ in range(64):
+            a, b = rng.randrange(1 << n), rng.randrange(1 << n)
+            sign, target = blade_product(sig, a, b)
+            assert (gamma(a) @ gamma(b) == sign * gamma(target)).all(), (sig, a, b)
+
+
+def test_spinor_tables_stay_small_at_n_12():
+    sig = Signature(12, 0)
+    assert sum(t.nbytes for t in _accel.spinor_form(sig.n, sig.neg_mask)) < 1 << 20
