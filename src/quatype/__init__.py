@@ -40,7 +40,6 @@ from .powers import (
     cl_power,
     ext_power,
     ext_series_fn,
-    format_spectrum,
     predict_cl_power,
     predict_cl_power_qtype,
     predict_ext_power,

@@ -8,12 +8,15 @@ Blades are bitmaps over the n generators (Dorst, Fontijne and Mann,
 *Geometric Algebra for Computer Science*, ch. 19).  The sign of e_a e_b is
 (-1)^s, where s counts the pairs (i in a, j in b) with i > j plus the
 common generators that square to -1.  Both terms are linear in b over
-GF(2), so s is odd exactly when popcount(w[a] & b) is, with
+GF(2), so s is odd exactly when popcount(w(a) & b) is, with
 
-    w[a] = (a & neg_mask) ^ L(a),  bit j of L(a) = parity of popcount(a >> (j+1)).
+    w(a) = (a & neg_mask) ^ L(a),  L(a) = XOR over k >= 1 of (a >> k),
 
-``w`` is one int64 vector of 2^n entries per signature, built on first use
-and cached.
+since bit j of L(a) is the parity of a's bits above j.  :func:`sign_word`
+computes w(a) in four shift-and-xor doublings, on one blade or on an int64
+array of them; every product path, sparse or dense, reads its signs off
+it.  The dense kernel takes w of all 2^n blades from :func:`sign_form`,
+built on first use and cached per signature.
 
 The Clifford series run on the Jordan–Wigner spinor representation (Lounesto,
 *Clifford Algebras and Spinors*, 2001), faithful into complex d x d matrices,
@@ -34,13 +37,24 @@ import numpy as np
 CHUNK_PAIRS = 1 << 16
 
 
+def sign_word(a, neg_mask: int):
+    """w(a) of the sign rule, e_a e_b = (-1)^popcount(w(a) & b) e_{a^b}.
+
+    ``a`` is a blade or an int64 array of blades below 2^17: the doublings
+    fold a >> 1 through a >> 16 into L(a).
+    """
+    t = a >> 1
+    t ^= t >> 1
+    t ^= t >> 2
+    t ^= t >> 4
+    t ^= t >> 8
+    return t ^ (a & neg_mask)
+
+
 @lru_cache(maxsize=64)
 def sign_form(n: int, neg_mask: int) -> np.ndarray:
     """The vector w of the sign rule for Cl with n generators and ``neg_mask``."""
-    a = np.arange(1 << n, dtype=np.int64)
-    w = a & neg_mask
-    for j in range(n):
-        w ^= (np.bitwise_count(a >> (j + 1)).astype(np.int64) & 1) << j
+    w = sign_word(np.arange(1 << n, dtype=np.int64), neg_mask)
     w.flags.writeable = False
     return w
 

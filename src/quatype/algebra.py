@@ -122,16 +122,6 @@ def blade_name(bits: int) -> str:
     return "e" + ",".join(str(i) for i in idx)
 
 
-def _swap_parity(a: int, b: int) -> int:
-    """Parity of the transposition count to merge blades a and b."""
-    s = 0
-    t = a >> 1
-    while t:
-        s += (t & b).bit_count()
-        t >>= 1
-    return s & 1
-
-
 def blade_product(sig: Signature, a: int, b: int) -> tuple[int, int]:
     """Geometric product of two basis blades: (sign, result blade).
 
@@ -141,15 +131,17 @@ def blade_product(sig: Signature, a: int, b: int) -> tuple[int, int]:
     limit = 1 << sig.n
     if not (0 <= a < limit and 0 <= b < limit):
         raise ValueError(f"blade outside {sig}")
-    s = _swap_parity(a, b) ^ ((a & b & sig.neg_mask).bit_count() & 1)
-    return (-1 if s else 1), a ^ b
+    return (-1 if (_accel.sign_word(a, sig.neg_mask) & b).bit_count() & 1 else 1), a ^ b
 
 
 def ext_blade_product(a: int, b: int) -> tuple[int, int]:
     """Exterior product of two basis blades: (sign, blade); sign 0 on overlap."""
+    limit = 1 << MAX_DIMENSION
+    if not (0 <= a < limit and 0 <= b < limit):
+        raise ValueError(f"blade outside the algebras with up to {MAX_DIMENSION} generators")
     if a & b:
         return 0, 0
-    return (-1 if _swap_parity(a, b) else 1), a | b
+    return (-1 if (_accel.sign_word(a, 0) & b).bit_count() & 1 else 1), a | b
 
 
 # ---------------------------------------------------------------------------
@@ -174,19 +166,14 @@ def _clean(coeffs: dict) -> dict:
 def _mul_sparse(ca: dict, cb: dict, neg_mask: int, exterior: bool) -> dict:
     out: dict = {}
     for a, x in ca.items():
-        a1 = a >> 1
+        w = _accel.sign_word(a, neg_mask)
         for b, y in cb.items():
             if exterior and a & b:
                 continue
-            s = (a & b & neg_mask).bit_count()
-            t = a1
-            while t:
-                s += (t & b).bit_count()
-                t >>= 1
             key = a ^ b
             v = x * y
             cur = out.get(key, 0)
-            out[key] = cur - v if s & 1 else cur + v
+            out[key] = cur - v if (w & b).bit_count() & 1 else cur + v
     return _clean(out)
 
 

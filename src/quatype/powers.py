@@ -113,11 +113,6 @@ def predict_cl_power_qtype(t: int, m: int) -> int:
     return residue
 
 
-def format_spectrum(spectrum) -> str:
-    """Render a grade set as a sorted list, e.g. ``{0,4,8}``; empty as ``{}``."""
-    return "{" + ",".join(str(g) for g in sorted(spectrum)) + "}"
-
-
 def predict_series_qtype(name: str, t: int) -> QType:
     """Type of an elementary function of a main-type-t element.
 

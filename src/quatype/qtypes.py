@@ -11,8 +11,8 @@ the same with the opposite sign, and a plain product lands in {0,2} or {1,3}
 according to the parity of Σa_i.  The sharp/flat/natural operations permute
 the four main types and form a Klein four-group with the identity.
 
-:func:`infer_kfold` and :func:`infer_product` are these closed forms on main
-types.  Every rule over compound types runs on one engine: a tuple of
+Every rule runs on one engine, with :func:`infer_kfold` and
+:func:`infer_product` as its cases of main-type operands: a tuple of
 operand types reduces to its residue states (Σ residues mod 4, number of odd
 residues mod 4), built one operand at a time by ``_step``, and each rule
 reads its type off those states.  k-fold brackets apply the bracket formula
@@ -177,14 +177,18 @@ def qtype_of(u: Multivector) -> QType:
     return QType(blade_grade(b) % 4 for b in u._coeffs)
 
 
-def qtype_of_approx(u: ApproxMultivector, tol: float = 1e-9) -> QType:
-    """Type of a float multivector, ignoring coefficients below tolerance.
+# relative weight below which a float coefficient counts as cancellation noise
+_APPROX_TOL = 1e-9
+
+
+def qtype_of_approx(u: ApproxMultivector) -> QType:
+    """Type of a float multivector, ignoring coefficients below ``_APPROX_TOL``.
 
     The threshold scales with the largest coefficient present, so a residue
     counts only if it carries weight above float cancellation noise.  An
     infinite or NaN coefficient raises ``ValueError``: it has no type.
     """
-    thresh = tol * max(1.0, u.max_abs())
+    thresh = _APPROX_TOL * max(1.0, u.max_abs())
     members = set()
     for b, v in u._coeffs.items():
         if not math.isfinite(v):
@@ -211,29 +215,13 @@ def infer_pair(kind, k: int, l: int) -> int:
 
 def infer_kfold(kind, types: Sequence[int]) -> int:
     """Type of a k-fold commutator/anticommutator of main types, k >= 2."""
-    kind = as_kind(kind)
-    if len(types) < 2:
-        raise ValueError("k-fold brackets need at least two operands")
-    for t in types:
-        _check_main(t)
-    total = sum(types)
-    s = 0
-    for i in range(len(types)):
-        for j in range(i + 1, len(types)):
-            s += types[i] * types[j]
-    eps = -1 if s & 1 else 1
-    if kind is COMMUTATOR:
-        return (total + 1 + eps) % 4
-    return (total + 1 - eps) % 4
+    (residue,) = infer_kfold_set(kind, [(_check_main(t),) for t in types])
+    return residue
 
 
 def infer_product(types: Sequence[int]) -> QType:
     """Type envelope of a product of main types: {0,2} or {1,3} by sum parity."""
-    if not types:
-        raise ValueError("empty product")
-    for t in types:
-        _check_main(t)
-    return QType((0, 2)) if sum(types) % 2 == 0 else QType((1, 3))
+    return infer_product_set([(_check_main(t),) for t in types])
 
 
 def infer_pair_musical(kind, partner: int) -> MusicalOp:

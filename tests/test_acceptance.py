@@ -318,7 +318,7 @@ def test_criterion_08_power_and_series_types():
         name = rng.choice(("exp", "sin", "cos", "sinh", "cosh"))
         exact = random_of_type(sig, rng, QType({t}))
         u = ApproxMultivector.from_exact(exact) * (1.0 / 9.0)
-        got = qtype_of_approx(series_fn(name, u), tol=1e-9)
+        got = qtype_of_approx(series_fn(name, u))
         assert got <= predict_series_qtype(name, t), (sig, t, name)
         done += 1
 

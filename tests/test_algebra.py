@@ -106,16 +106,39 @@ def test_blade_product_examples():
     assert blade_product(CL20, 0b11, 0b11) == (-1, 0)
 
 
+def _assert_blade_products_match_oracle(sig, a, b):
+    sign, out = blade_product(sig, a, b)
+    osign, oidx = naive_blade_product(sig, blade_indices(a), blade_indices(b))
+    assert out == blade_bits(oidx)
+    assert sign == osign, (sig, a, b)
+    # disjoint blades meet no metric square, so the oracle's sign is the wedge's
+    assert ext_blade_product(a, b) == ((0, 0) if a & b else (osign, a | b)), (a, b)
+
+
 def test_blade_product_matches_naive_oracle_exhaustively():
     for n in range(1, 5):
         for p in range(n + 1):
             sig = Signature(p, n - p)
             for a in range(1 << n):
                 for b in range(1 << n):
-                    sign, out = blade_product(sig, a, b)
-                    osign, oidx = naive_blade_product(sig, blade_indices(a), blade_indices(b))
-                    assert out == blade_bits(oidx)
-                    assert sign == osign, (sig, a, b)
+                    _assert_blade_products_match_oracle(sig, a, b)
+
+
+@pytest.mark.parametrize("n", range(5, algebra.MAX_DIMENSION + 1))
+def test_blade_product_matches_naive_oracle_sampled(n):
+    rng = random.Random(n)
+    for p in range(n + 1):
+        sig = Signature(p, n - p)
+        for _ in range(200):
+            a, b = rng.randrange(1 << n), rng.randrange(1 << n)
+            _assert_blade_products_match_oracle(sig, a, b)
+            _assert_blade_products_match_oracle(sig, a, b & ~a)
+
+
+@pytest.mark.parametrize("a, b", [(-2, 1), (1, -2), (1 << 20, 1), (1, 1 << algebra.MAX_DIMENSION)])
+def test_ext_blade_product_rejects_blades_outside_every_algebra(a, b):
+    with pytest.raises(ValueError):
+        ext_blade_product(a, b)
 
 
 def test_generator_relation_exhaustive():
