@@ -353,17 +353,21 @@ class _MultivectorBase:
         return self._make(self.sig, _mul_coeffs(self._coeffs, other._coeffs, self.sig, True, self._approx))
 
     def __pow__(self, m: int):
-        if not isinstance(m, int) or m < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = self._make(self.sig, {0: self._one})
-        base = self
-        while m:
-            if m & 1:
-                result = result * base
-            m >>= 1
-            if m:
-                base = base * base
-        return result
+        return _power(self, m, operator.mul)
+
+
+def _power(u, m: int, mul):
+    """u**m under the geometric (``operator.mul``) or exterior (``operator.xor``) product, by squaring."""
+    if not isinstance(m, int) or m < 0:
+        raise ValueError("exponent must be a nonnegative integer")
+    result = u._make(u.sig, {0: u._one})
+    while m:
+        if m & 1:
+            result = mul(result, u)
+        m >>= 1
+        if m:
+            u = mul(u, u)
+    return result
 
 
 class Multivector(_MultivectorBase):

@@ -32,9 +32,10 @@ from typing import Iterator, Mapping, Union
 
 from .algebra import ApproxMultivector, Multivector, Signature
 from .brackets import kfold
-from .powers import ext_power, ext_series_fn, series_fn, SERIES_NAMES
+from .powers import ext_power, ext_series_fn, series_fn
 from .qtypes import (
     ANTICOMMUTATOR,
+    SERIES_NAMES,
     BracketKind,
     InfeasibleDeclarationError,
     QType,
@@ -671,7 +672,7 @@ def strip_comment(line: str) -> str:
     return line
 
 
-def parse_file(text: str, require_types: bool = True) -> list[tuple[int, str, Expr]]:
+def parse_file(text: str) -> list[tuple[int, str, Expr]]:
     """Parse an expression file: one expression per line, '#' comments."""
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -679,7 +680,7 @@ def parse_file(text: str, require_types: bool = True) -> list[tuple[int, str, Ex
         if not src:
             continue
         try:
-            out.append((lineno, src, parse(src, require_types=require_types)))
+            out.append((lineno, src, parse(src)))
         except ParseError as exc:
             raise ParseError(f"line {lineno}: {exc}", exc.position) from exc
     return out

@@ -3,30 +3,30 @@
 Exterior powers of a homogeneous element are rigid: odd grades square to
 zero under the wedge, and a grade-k element wedged m times either dies
 (mk > n or k odd) or lands exactly in grade mk.  Clifford powers spread over
-a step-4 arithmetic progression whose endpoints depend on the parities of k
-and m; the implementation clips that progression by iterating the two-factor
-grade envelope, which reproduces the dimension-aware refinements for every m.
+grades of the one residue mod 4 that :func:`infer_power_set` gives; iterating
+the two-factor grade envelope and keeping that residue at every step
+reproduces the dimension-aware refinements for every m.
 
 Of the five elementary functions, the Clifford series run in floating point
 as matrix functions in the spinor representation of :mod:`quatype._accel`,
 by scaling and doubling (Higham, "The scaling and squaring method for the
 matrix exponential revisited", SIAM J. Matrix Anal. Appl. 2005); the
-exterior series are finite and evaluated in exact rational arithmetic.
+exterior series are finite and evaluated in exact rational arithmetic.  Both
+take the powers to sum, and their signs, from :func:`series_rule`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
 
 from . import _accel
-from .algebra import ApproxMultivector, _blade_arrays, _dense_coeffs
+from .algebra import ApproxMultivector, _blade_arrays, _dense_coeffs, _power
 from .brackets import product_grade_envelope
-from .qtypes import QType, infer_power_set, series_type
-
-SERIES_NAMES = ("exp", "sin", "cos", "sinh", "cosh")
+from .qtypes import QType, _check_main, infer_power_set, series_rule, series_type
 
 
 def cl_power(u, m: int):
@@ -36,12 +36,7 @@ def cl_power(u, m: int):
 
 def ext_power(u, m: int):
     """m-fold exterior product of u with itself; m = 0 gives the identity."""
-    if not isinstance(m, int) or m < 0:
-        raise ValueError("exponent must be a nonnegative integer")
-    result = type(u).scalar(u.sig, 1)
-    for _ in range(m):
-        result = result ^ u
-    return result
+    return _power(u, m, operator.xor)
 
 
 # ---------------------------------------------------------------------------
@@ -67,30 +62,15 @@ def predict_ext_power(k: int, m: int, n: int) -> frozenset[int]:
     return frozenset()
 
 
-def _power_progression(k: int, m: int) -> frozenset[int]:
-    """Dimension-blind step-4 progression for the m-th power of a grade-k element.
-
-    Odd m starts at k mod 4 and tops out at km (k even) or km-(m-1) (k odd);
-    even m starts at 0 and tops out at km (k even) or (k-1)m (k odd).
-    """
-    if m % 2:
-        start = k % 4
-        top = m * k if k % 2 == 0 else m * k - (m - 1)
-    else:
-        start = 0
-        top = m * k if k % 2 == 0 else (k - 1) * m
-    return frozenset(range(start, top + 1, 4))
-
-
 def predict_cl_power(k: int, m: int, n: int) -> frozenset[int]:
     """Grade-spectrum envelope of the m-th Clifford power of a grade-k element.
 
-    Each intermediate power obeys its own step-4 progression, so the
-    prediction convolves the two-factor grade envelope one power at a time
-    and clips with the progression at every step.  For m = 2 this reduces
-    to the dimension-aware four-case refinement; brute force confirms
-    containment (and, in all sampled cells, the exact top grade) for every
-    k <= n <= 6, m <= 5.
+    The j-th power has the single main type that :func:`infer_power_set`
+    gives for a grade-k base, so the prediction convolves the two-factor
+    grade envelope one power at a time and keeps the grades of that residue
+    mod 4 at every step.  For m = 2 this reduces to the dimension-aware
+    four-case refinement; brute force confirms containment (and, in all
+    sampled cells, the exact top grade) for every k <= n <= 6, m <= 5.
     """
     if not 0 <= k <= n:
         raise ValueError(f"rank {k} outside 0..{n}")
@@ -100,30 +80,20 @@ def predict_cl_power(k: int, m: int, n: int) -> frozenset[int]:
         return frozenset((0,))
     spectrum = frozenset((k,))
     for j in range(2, m + 1):
-        reachable = frozenset(g for r in spectrum for g in product_grade_envelope(r, k, n))
-        spectrum = reachable & _power_progression(k, j)
+        (residue,) = infer_power_set(QType((k % 4,)), j)
+        spectrum = frozenset(g for r in spectrum for g in product_grade_envelope(r, k, n) if g % 4 == residue)
     return spectrum
 
 
 def predict_cl_power_qtype(t: int, m: int) -> int:
     """Main type of the m-th Clifford power of a main-type-t element."""
-    if t not in (0, 1, 2, 3):
-        raise ValueError(f"main type must be 0..3, got {t}")
-    (residue,) = infer_power_set(QType((t,)), m)
+    (residue,) = infer_power_set(QType((_check_main(t),)), m)
     return residue
 
 
 def predict_series_qtype(name: str, t: int) -> QType:
-    """Type of an elementary function of a main-type-t element.
-
-    exp mixes the even and odd powers ({0, t}); sine keeps only odd powers
-    ({t}); cosine only even powers ({0}); hyperbolic variants identical.
-    """
-    if name not in SERIES_NAMES:
-        raise ValueError(f"unknown series {name!r}")
-    if t not in (0, 1, 2, 3):
-        raise ValueError(f"main type must be 0..3, got {t}")
-    return series_type(name, QType((t,)))
+    """Type of an elementary function of a main-type-t element: {0, t} for exp, {t} for sin, {0} for cos."""
+    return series_type(name, QType((_check_main(t),)))
 
 
 # ---------------------------------------------------------------------------
@@ -147,12 +117,10 @@ def series_fn(name: str, u: ApproxMultivector) -> ApproxMultivector:
     doubling summed.  The coefficients come back as Re tr(Γ_bᴴ F) / d.  A
     non-finite coefficient in u, or an overflow, gives non-finite results.
     """
-    if name not in SERIES_NAMES:
-        raise ValueError(f"unknown series {name!r}")
+    parities, trig = series_rule(name)
     if not isinstance(u, ApproxMultivector):
         raise TypeError("Clifford series run on ApproxMultivector inputs")
     sig = u.sig
-    trig = name in ("sin", "cos")
     # non-finite values only pass through to the result; numpy's warnings
     # would repeat what classify reports
     with np.errstate(over="ignore", invalid="ignore"):
@@ -168,8 +136,8 @@ def series_fn(name: str, u: ApproxMultivector) -> ApproxMultivector:
             np.matmul(powers[k], powers[1], out=powers[k + 1])
         c, s = (_PAIR @ powers.reshape(_SERIES_DEGREE + 1, d * d)).reshape(2, d, d)
         s = x @ s
-        if name == "exp":
-            # C' + S' = (C + S)^2: summed before doubling, so an eigenvalue
+        if len(parities) == 2:
+            # exp: C' + S' = (C + S)^2: summed before doubling, so an eigenvalue
             # with a large negative real part does not cancel in cosh + sinh
             f = c + s
             for _ in range(steps):
@@ -177,7 +145,7 @@ def series_fn(name: str, u: ApproxMultivector) -> ApproxMultivector:
         else:
             for _ in range(steps):
                 c, s = c @ c - s @ s if trig else c @ c + s @ s, 2 * (c @ s)
-            f = s if name in ("sin", "sinh") else c
+            f = (c, s)[parities[0]]
         coeffs = _accel.from_spinor(f, sig.neg_mask, sig.n)
     return ApproxMultivector._make(sig, _dense_coeffs(coeffs))
 
@@ -194,19 +162,13 @@ def ext_series_fn(name: str, u):
     A nonzero scalar component would make the series infinite (and its value
     transcendental), so that input is rejected.
     """
-    if name not in SERIES_NAMES:
-        raise ValueError(f"unknown series {name!r}")
+    parities, alternating = series_rule(name)
     if u.coefficient(0):
         raise ValueError("exterior series of an element with a scalar component does not terminate")
-    one = type(u).scalar(u.sig, 1)
-    wants_even = name in ("exp", "cos", "cosh")
-    wants_odd = name in ("exp", "sin", "sinh")
-    alternating = name in ("sin", "cos")
     acc = type(u).zero(u.sig)
-    power = one
+    power = type(u).scalar(u.sig, 1)
     for j in range(u.sig.n + 2):
-        wanted = (wants_even, wants_odd)[j & 1]
-        if wanted:
+        if (j & 1) in parities:
             scale = Fraction(1, math.factorial(j))
             if alternating and (j // 2) & 1:
                 scale = -scale

@@ -18,8 +18,10 @@ residues mod 4), built one operand at a time by ``_step``, and each rule
 reads its type off those states.  k-fold brackets apply the bracket formula
 (``_bracket_types``), products take the parity of the total, exterior
 products and powers take the totals, Clifford powers are half their own
-anticommutator, and the series types (:func:`series_type`) are the unions
-over even or odd powers (:func:`power_types_by_parity`).
+anticommutator.  The states of m = 0, 1, 2, ... copies of a type form one
+short cycle (``_power_states``), so a power's type costs the same for any m.
+One table, ``_SERIES``, gives the power parities and sign rule of each
+elementary function; :func:`series_type` and :mod:`quatype.powers` read it.
 """
 
 from __future__ import annotations
@@ -304,44 +306,63 @@ def infer_ext_product_set(member_sets: Sequence[Iterable[int]]) -> QType:
     return _power_types(_residue_states(member_sets), exterior=True)
 
 
+@lru_cache(maxsize=None)
+def _power_states(t: frozenset) -> tuple[tuple[frozenset, ...], int]:
+    """Residue states of m = 0, 1, 2, ... copies of t, and the index where their cycle restarts.
+
+    The list stops before (m mod 2, states) first repeats: at most 6 entries.
+    """
+    keys = []
+    states = _NO_OPERANDS
+    while (len(keys) & 1, states) not in keys:
+        keys.append((len(keys) & 1, states))
+        states = _step(states, tuple(t))
+    return tuple(s for _, s in keys), keys.index((len(keys) & 1, states))
+
+
 def infer_power_set(t: QType, m: int, exterior: bool = False) -> QType:
     """Type of the m-th Clifford (or exterior) power of an element of type t."""
     if m < 0:
         raise ValueError("exponent must be nonnegative")
-    return _power_types(_residue_states([t] * m), exterior)
+    seq, cycle = _power_states(frozenset(t))
+    if m >= len(seq):
+        m = cycle + (m - cycle) % (len(seq) - cycle)
+    return _power_types(seq[m], exterior)
 
 
 def power_types_by_parity(t: Iterable[int], exterior: bool = False) -> tuple[QType, QType]:
-    """Types reachable by even / odd powers of an element of type t.
-
-    The residue states of m copies are periodic in m, so the unions are
-    complete once (m mod 2, states) repeats.
-    """
-    t = tuple(t)
+    """Types reachable by even / odd powers of an element of type t: unions over its power states."""
     by_parity = (set(), set())
-    states = _NO_OPERANDS
-    seen = set()
-    m = 0
-    while (m & 1, states) not in seen:
-        seen.add((m & 1, states))
+    for m, states in enumerate(_power_states(frozenset(t))[0]):
         by_parity[m & 1].update(_power_types(states, exterior))
-        states = _step(states, t)
-        m += 1
     return QType(by_parity[0]), QType(by_parity[1])
 
 
-def series_type(name: str, t: Iterable[int], exterior: bool = False) -> QType:
-    """Type of exp/sin/cos/sinh/cosh of an element of type t.
+# the five elementary functions: the parities of the powers each one sums,
+# and whether the signs of its terms alternate
+_SERIES = {
+    "exp": ((0, 1), False),
+    "sin": ((1,), True),
+    "cos": ((0,), True),
+    "sinh": ((1,), False),
+    "cosh": ((0,), False),
+}
+SERIES_NAMES = tuple(_SERIES)
 
-    exp sums every power; sine and sinh keep the odd powers, cosine and
-    cosh the even ones.
-    """
-    even, odd = power_types_by_parity(t, exterior)
-    if name == "exp":
-        return even | odd
-    if name in ("sin", "sinh"):
-        return odd
-    return even
+
+def series_rule(name: str) -> tuple[tuple[int, ...], bool]:
+    """(parities of the summed powers, alternating signs) of an elementary function."""
+    try:
+        return _SERIES[name]
+    except KeyError:
+        raise ValueError(f"unknown series {name!r}") from None
+
+
+def series_type(name: str, t: Iterable[int], exterior: bool = False) -> QType:
+    """Type of exp/sin/cos/sinh/cosh of an element of type t: the union over its powers' parities."""
+    parities, _ = series_rule(name)
+    by_parity = power_types_by_parity(t, exterior)
+    return QType(r for p in parities for r in by_parity[p])
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from quatype.dsl import (
     strip_comment,
     variables,
 )
-from quatype.qtypes import BracketKind, InfeasibleDeclarationError, QType
+from quatype.qtypes import BracketKind, InfeasibleDeclarationError, QType, infer_power_set
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +294,18 @@ def test_check_rank_power():
     report = check("U:#2 ** 2", Signature(4, 0), trials=50, seed=0)
     assert report.ok
     assert report.inferred == QType({0})
+
+
+def test_power_type_costs_the_same_for_every_exponent():
+    # the residue states of m copies cycle, so a huge exponent reduces into the cycle
+    for mask in range(16):
+        t = QType(r for r in range(4) if mask >> r & 1)
+        for exterior in (False, True):
+            for j in range(4):
+                assert infer_power_set(t, 10**18 + j, exterior) == infer_power_set(t, 64 + j, exterior), (t, j)
+    assert infer(parse("U:0~1~**1000000000000000000")) == QType({0, 1})
+    # square-and-multiply: the wedge powers die after a few squarings
+    assert check("U:2^^1000000000000000000", Signature(3, 0), trials=3).ok
 
 
 def test_check_series_expression():

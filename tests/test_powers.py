@@ -24,7 +24,7 @@ from quatype.powers import (
     predict_series_qtype,
     series_fn,
 )
-from quatype.qtypes import QType, qtype_of, qtype_of_approx, random_of_type
+from quatype.qtypes import QType, qtype_of, qtype_of_approx, random_of_type, series_type
 
 
 def ext_power_ordered_oracle(u, m):
@@ -285,6 +285,22 @@ def test_predict_series_qtype_values():
             assert predict_series_qtype(name, t) == QType(want), (name, t)
     with pytest.raises(ValueError):
         predict_series_qtype("tan", 1)
+
+
+@pytest.mark.parametrize("name", ["tan", "exp "], ids=["tan", "exp-space"])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda name: series_type(name, QType({1})),
+        lambda name: series_fn(name, ApproxMultivector.scalar(Signature(2, 0), 0.5)),
+        lambda name: ext_series_fn(name, Multivector.generator(Signature(2, 0), 1)),
+        lambda name: predict_series_qtype(name, 1),
+    ],
+    ids=["series_type", "series_fn", "ext_series_fn", "predict_series_qtype"],
+)
+def test_every_series_entry_point_rejects_unknown_name(entry, name):
+    with pytest.raises(ValueError, match="unknown series"):
+        entry(name)
 
 
 def test_series_exp_inverse_identity():
