@@ -98,14 +98,8 @@ def eval_tree(tree: BracketTree, us: Sequence[Multivector]) -> Multivector:
 
 
 def expand_product(us: Sequence[Multivector]) -> Multivector:
-    """Reconstruct U1 U2 ... Uk as the average of all 2^(k-1) bracket chains."""
-    k = len(us)
-    if not 2 <= k <= MAX_TREE_LEAVES:
-        raise ValueError(f"operand count must be 2..{MAX_TREE_LEAVES}, got {k}")
-    total = Multivector.zero(us[0].sig)
-    for tree in enumerate_trees(k):
-        total = total + eval_tree(tree, us)
-    return total * Fraction(1, 1 << (k - 1))
+    """Reconstruct U1 U2 ... Uk as the average of all 2^(k-1) bracket chains: the mean of the two classes."""
+    return (expand_kfold(COMMUTATOR, us) + expand_kfold(ANTICOMMUTATOR, us)) * Fraction(1, 2)
 
 
 def expand_kfold(kind, us: Sequence[Multivector]) -> Multivector:
@@ -118,8 +112,6 @@ def expand_kfold(kind, us: Sequence[Multivector]) -> Multivector:
     for tree in enumerate_trees(k):
         if tree.sign_class() is kind:
             total = total + eval_tree(tree, us)
-    if k == 2:
-        return total  # single chain per class
     return total * Fraction(1, 1 << (k - 2))
 
 

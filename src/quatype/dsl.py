@@ -39,7 +39,6 @@ from .qtypes import (
     BracketKind,
     InfeasibleDeclarationError,
     QType,
-    feasible_residues,
     infer_ext_product_set,
     infer_kfold_set,
     infer_power_set,
@@ -601,9 +600,13 @@ class CheckReport:
 
 
 def _sample_variable(sig: Signature, rng: Random, var: Var) -> Multivector:
-    if var.rank is not None:
-        return random_of_rank(sig, rng, var.rank)
-    return random_of_type(sig, rng, var.qtype)
+    try:
+        if var.rank is not None:
+            return random_of_rank(sig, rng, var.rank)
+        return random_of_type(sig, rng, var.qtype)
+    except InfeasibleDeclarationError as exc:
+        exc.args = (f"{exc} (variable {var.name!r})", *exc.args[1:])
+        raise
 
 
 def check(e: Expr | str, sig: Signature, trials: int = 100, seed: int = 0) -> CheckReport:
@@ -617,7 +620,10 @@ def check(e: Expr | str, sig: Signature, trials: int = 100, seed: int = 0) -> Ch
     blade draws an integer coefficient in [-9, 9]; a residue (or rank) whose
     draw comes out all zero is patched at one random blade.  The trial
     evaluates exactly, or in floats when Clifford series are involved, and
-    records any containment violation.  A trial whose evaluation raises
+    records any containment violation.  A declaration with an empty blade
+    group (a rank outside 0..n, a residue above n) raises
+    :class:`InfeasibleDeclarationError` naming its variable at trial 0's
+    draw, before anything is evaluated.  A trial whose evaluation raises
     ``ValueError`` (an overflow to a non-finite coefficient, say) aborts the
     check with the error prefixed by ``trial i (seed s): ``.
     """
@@ -627,18 +633,6 @@ def check(e: Expr | str, sig: Signature, trials: int = 100, seed: int = 0) -> Ch
         raise ValueError("need at least one trial")
     inferred = infer(e)
     by_name = sorted(variables(e).items())
-    feasible = feasible_residues(sig)
-    for name, var in by_name:
-        if var.rank is not None:
-            if not 0 <= var.rank <= sig.n:
-                raise InfeasibleDeclarationError(f"rank {var.rank} of {name!r} is infeasible in {sig}")
-        else:
-            missing = _var_type(var) - feasible
-            if missing:
-                raise InfeasibleDeclarationError(
-                    f"type {_var_type(var).render()} of {name!r} has no grade for residue(s) "
-                    f"{sorted(missing)} in {sig}"
-                )
     cls = _domain(e)
     report = CheckReport(expr=render(e), signature=sig, inferred=inferred, trials=trials)
     for i in range(trials):

@@ -68,21 +68,23 @@ def predict_cl_power(k: int, m: int, n: int) -> frozenset[int]:
     The j-th power has the single main type that :func:`infer_power_set`
     gives for a grade-k base, so the prediction convolves the two-factor
     grade envelope one power at a time and keeps the grades of that residue
-    mod 4 at every step.  For m = 2 this reduces to the dimension-aware
-    four-case refinement; brute force confirms containment (and, in all
-    sampled cells, the exact top grade) for every k <= n <= 6, m <= 5.
+    mod 4 at every step; that residue depends on j mod 4 only, so m reduces
+    into the cycle of (j mod 4, spectrum).  For m = 2 this is the four-case
+    refinement; brute force confirms containment (and, in all sampled cells,
+    the exact top grade) for every k <= n <= 6, m <= 5.
     """
     if not 0 <= k <= n:
         raise ValueError(f"rank {k} outside 0..{n}")
     if m < 0:
         raise ValueError("exponent must be nonnegative")
-    if m == 0:
-        return frozenset((0,))
-    spectrum = frozenset((k,))
-    for j in range(2, m + 1):
-        (residue,) = infer_power_set(QType((k % 4,)), j)
-        spectrum = frozenset(g for r in spectrum for g in product_grade_envelope(r, k, n) if g % 4 == residue)
-    return spectrum
+    spectra, seen = [frozenset((0,)), frozenset((k,))], {}
+    for j in range(1, m):
+        i = seen.setdefault((j % 4, spectra[j]), j)
+        if i < j:
+            return spectra[i + (m - i) % (j - i)]
+        (residue,) = infer_power_set(QType((k % 4,)), j + 1)
+        spectra.append(frozenset(g for r in spectra[j] for g in product_grade_envelope(r, k, n) if g % 4 == residue))
+    return spectra[m]
 
 
 def predict_cl_power_qtype(t: int, m: int) -> int:

@@ -412,38 +412,38 @@ def klein_table() -> list[list[MusicalOp]]:
 # typed random sampling
 
 
-@lru_cache(maxsize=None)
-def feasible_residues(sig: Signature) -> QType:
-    """Residues mod 4 realized by some grade 0..n."""
-    return QType(g % 4 for g in range(sig.n + 1))
-
-
 def random_of_type(sig: Signature, rng: Random, members: QType) -> Multivector:
     """Random multivector of the given type, nonzero in every member residue.
 
     Each member residue, in ascending order, is one group of
     :func:`~quatype.algebra.sample_blades`: its blades by grade, then by bit
     order.  Raises :class:`InfeasibleDeclarationError` when some member
-    residue has no grade <= n.
+    residue has no blade in ``sig``.
     """
-    return sample_blades(sig, rng, _residue_groups(sig, members))
-
-
-@lru_cache(maxsize=None)
-def _residue_groups(sig: Signature, members: frozenset) -> tuple[tuple[int, ...], ...]:
-    """The blade groups of :func:`random_of_type`, checked feasible once per (signature, type)."""
-    members = QType(members)
-    missing = members - feasible_residues(sig)
-    if missing:
-        raise InfeasibleDeclarationError(
-            f"type {members.render()} has no grade for residue(s) {sorted(missing)} in {sig}"
-        )
-    n = sig.n
-    return tuple(blades_of_grades(n, tuple(range(r, n + 1, 4))) for r in sorted(members))
+    return sample_blades(sig, rng, _declared_blade_groups(sig, members))
 
 
 def random_of_rank(sig: Signature, rng: Random, rank: int) -> Multivector:
-    """Random nonzero homogeneous multivector of the given grade."""
-    if not 0 <= rank <= sig.n:
-        raise InfeasibleDeclarationError(f"rank {rank} is infeasible in {sig}")
-    return sample_blades(sig, rng, [blades_of_grades(sig.n, (rank,))])
+    """Random nonzero homogeneous multivector of the given grade: one group, its blades in bit order.
+
+    Raises :class:`InfeasibleDeclarationError` when ``sig`` has no blade of that grade.
+    """
+    return sample_blades(sig, rng, _declared_blade_groups(sig, rank))
+
+
+@lru_cache(maxsize=None)
+def _declared_blade_groups(sig: Signature, declaration: QType | int) -> tuple[tuple[int, ...], ...]:
+    """The blade groups of a declared type (one per member residue, ascending) or rank (its grade).
+
+    The one feasibility rule: a declaration is feasible in ``sig`` exactly when none of its groups is empty.
+    """
+    n = sig.n
+    if isinstance(declaration, int):
+        what, groups = f"rank {declaration}", (blades_of_grades(n, (declaration,)),)
+    else:
+        members = QType(declaration)
+        what = f"type {members.render()}"
+        groups = tuple(blades_of_grades(n, tuple(range(r, n + 1, 4))) for r in sorted(members))
+    if not all(groups):
+        raise InfeasibleDeclarationError(f"{what} is infeasible in {sig}")
+    return groups

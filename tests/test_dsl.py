@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -30,7 +31,14 @@ from quatype.dsl import (
     strip_comment,
     variables,
 )
-from quatype.qtypes import BracketKind, InfeasibleDeclarationError, QType, infer_power_set
+from quatype.qtypes import (
+    BracketKind,
+    InfeasibleDeclarationError,
+    QType,
+    infer_power_set,
+    random_of_rank,
+    random_of_type,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -321,11 +329,67 @@ def test_check_series_has_no_false_failures(expr):
     assert report.failures == []
 
 
+ALL_TYPES = [QType(c) for k in range(5) for c in itertools.combinations(range(4), k)]
+
+
 def test_check_infeasible_declarations():
     with pytest.raises(InfeasibleDeclarationError):
         check("U:#5 ** 2", Signature(3, 0))
     with pytest.raises(InfeasibleDeclarationError):
         check("U:3~", Signature(2, 0))
+    # two infeasible variables: the first in name order is named, before any evaluation
+    with pytest.raises(InfeasibleDeclarationError, match=r"^type 3~ is infeasible in Cl\(2,0\) \(variable 'V'\)$"):
+        check("[W:#3, V:3~] + U:1~", Signature(2, 0))
+    # the one rule, exhaustively: a declaration can be drawn exactly when each of
+    # its blade groups is nonempty, i.e. every member residue is at most n, or
+    # the rank lies in 0..n
+    rng = random.Random(0)
+    for n in range(1, 13):
+        for p in range(n + 1):
+            sig = Signature(p, n - p)
+            declarations = [(t, t.render(), max(t, default=0) <= n, random_of_type) for t in ALL_TYPES]
+            declarations += [(r, f"#{r}", 0 <= r <= n, random_of_rank) for r in range(-1, n + 2)]
+            for decl, text, feasible, draw in declarations:
+                if feasible:
+                    draw(sig, rng, decl)
+                    continue
+                with pytest.raises(InfeasibleDeclarationError):
+                    draw(sig, rng, decl)
+                if decl == -1:
+                    continue  # '#-1' does not parse
+                with pytest.raises(InfeasibleDeclarationError) as info:
+                    check(f"[A:0~, U:{text}]", sig, trials=1)
+                what = f"rank {decl}" if draw is random_of_rank else f"type {text}"
+                assert str(info.value) == f"{what} is infeasible in {sig} (variable 'U')"
+
+
+def test_check_records_failures_and_keeps_sweeping(monkeypatch):
+    # containment holds on real expressions, so a classifier that answers 3~
+    # on trials 1 and 3 drives check's own failure path
+    import quatype.dsl as dsl
+
+    real, calls = dsl.qtype_of, []
+
+    def flaky_qtype_of(value):
+        calls.append(value)
+        return QType({3}) if len(calls) in (2, 4) else real(value)
+
+    monkeypatch.setattr(dsl, "qtype_of", flaky_qtype_of)
+    report = check("[U:1~, V:2~]", Signature(3, 0), trials=6, seed=10)
+    assert report.failures == [
+        TrialFailure(trial=1, seed=11, observed=QType({3})),
+        TrialFailure(trial=3, seed=13, observed=QType({3})),
+    ]
+    assert len(calls) == 6  # the trials after each failure still ran
+    assert report.observed == QType({1, 3})
+    assert not report.ok and not report.tight
+    text = report.format_text()
+    assert "failures: 2" in text and "  trial 3 (seed 13): observed 3~" in text
+    assert text.endswith("FAIL")
+    assert report.to_obj()["failures"] == [
+        {"trial": 1, "seed": 11, "observed": "3~"},
+        {"trial": 3, "seed": 13, "observed": "3~"},
+    ]
 
 
 def test_check_is_deterministic():

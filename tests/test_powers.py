@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 import warnings
 from fractions import Fraction
 
@@ -149,6 +150,17 @@ def test_predict_cl_power_examples():
     assert predict_cl_power(2, 3, 6) == frozenset({2, 6})
     with pytest.raises(ValueError):
         predict_cl_power(3, 2, 2)
+
+
+def test_predict_cl_power_reduces_huge_exponents_into_its_cycle():
+    # the step residue depends on j mod 4 only, so (j mod 4, spectrum) repeats
+    # within a few steps; m = 10^18 once looped 10^18 times
+    start = time.perf_counter()
+    for n in range(1, 13):
+        for k in range(n + 1):
+            for j in range(4):
+                assert predict_cl_power(k, 10**18 + j, n) == predict_cl_power(k, 40 + j, n), (k, n, j)
+    assert time.perf_counter() - start < 1.0
 
 
 def four_case_m2(k, n):
