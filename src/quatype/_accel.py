@@ -1,8 +1,9 @@
-"""Dense blade-pair product kernel and spinor form for the hot verification loops.
+"""Exact and float product kernels and the spinor form for the hot verification loops.
 
-A sparse multivector with machine-sized coefficients is flattened to
-(blade, value) arrays, and the geometric or exterior product scatter-adds
-every blade-pair contribution into a dense length-2^n output.
+The blade-pair kernel flattens a sparse multivector with machine-sized
+coefficients to (blade, value) arrays and scatter-adds every blade-pair
+contribution of the geometric or exterior product into a dense length-2^n
+output, in int64 or float64.
 
 Blades are bitmaps over the n generators (Dorst, Fontijne and Mann,
 *Geometric Algebra for Computer Science*, ch. 19).  The sign of e_a e_b is
@@ -14,15 +15,20 @@ GF(2), so s is odd exactly when popcount(w(a) & b) is, with
 
 since bit j of L(a) is the parity of a's bits above j.  :func:`sign_word`
 computes w(a) in four shift-and-xor doublings, on one blade or on an int64
-array of them; every product path, sparse or dense, reads its signs off
+array of them; every blade-pair path, sparse or dense, reads its signs off
 it.  The dense kernel takes w of all 2^n blades from :func:`sign_form`,
 built on first use and cached per signature.
 
-The Clifford series run on the Jordan–Wigner spinor representation (Lounesto,
-*Clifford Algebras and Spinors*, 2001), faithful into complex d x d matrices,
-d = 2^ceil(n/2).  Each blade's matrix is a signed Pauli string, fixed by two
-d-bit masks and a phase, so a multivector goes there and back by one d x d
-matrix product (:func:`spinor_form`).
+The Jordan–Wigner spinor representation (Lounesto, *Clifford Algebras and
+Spinors*, 2001) maps Cl faithfully into complex d x d matrices, d =
+2^ceil(n/2).  Each blade's matrix is a signed Pauli string, fixed by two
+d-bit masks and a phase i^k, so a multivector goes there and back by one
+d x d matrix product (:func:`spinor_form`, cached per n, and
+:func:`spinor_phase`, the exponents k per signature).  The Clifford series
+run there in float64.  :func:`product_residue` multiplies integer
+multivectors there exactly, with every entry reduced mod one prime below
+2^23 (the residue method, Knuth, TAOCP vol. 2, §4.3.2): O(2^1.5n) work in
+place of the kernel's O(4^n) blade pairs.
 """
 
 from __future__ import annotations
@@ -83,51 +89,115 @@ def product_dense(ia, va, ib, vb, neg_mask, n, exterior=False):
     return out
 
 
-@lru_cache(maxsize=64)
-def spinor_form(n: int, neg_mask: int) -> tuple[np.ndarray, ...]:
-    """The spinor matrices Γ_b of the 2^n blades of Cl with n generators and ``neg_mask``.
+@lru_cache(maxsize=None)
+def spinor_form(n: int) -> tuple[np.ndarray, ...]:
+    """The spinor matrices Γ_b of the 2^n blades of Cl(n,0).
 
-    Returns (x, z, c, h, cells): Γ_b[r, r ^ x[b]] = c[b] (-1)^popcount(z[b] & r),
-    with c[b] in {±1, ±i}; h[r, s] = (-1)^popcount(r & s) is the d x d sign
-    matrix, and cells[x, r] is the flat index of entry (r, r ^ x) of a d x d matrix.
+    Returns (xz, k, h, cells): Γ_b[r, r ^ x] = i^k[b] (-1)^popcount(z & r),
+    where the two d-bit masks are packed as xz[b] = x d + z; h[r, s] =
+    (-1)^popcount(r & s) is the d x d sign matrix, and cells[x, r] is the
+    flat index of entry (r, r ^ x) of a d x d matrix.  Only the phase
+    exponents k depend on the signature (:func:`spinor_phase`).
     """
     d = 1 << ((n + 1) >> 1)
     x, z = np.zeros((2, 1 << n), dtype=np.int64)
-    c = np.ones(1 << n, dtype=np.complex128)
+    k = np.zeros(1 << n, dtype=np.uint8)
     for j in range(n):
-        k = j >> 1
-        # the Z string of the lower qubits, then X (j even) or Y = -iXZ (j odd),
-        # times i when the generator squares to -1
-        zj = (2 << k) - 1 if j & 1 else (1 << k) - 1
-        cj = (-1j if j & 1 else 1) * (1j if neg_mask >> j & 1 else 1)
+        q = j >> 1
+        # the Z string of the lower qubits, then X (j even) or Y = -iXZ = i^3 XZ (j odd)
+        zj = (2 << q) - 1 if j & 1 else (1 << q) - 1
         lo = 1 << j
-        # Γ_{b | 1<<j} = Γ_b γ_j for every b below 1 << j
-        x[lo : 2 * lo] = x[:lo] ^ (1 << k)
+        # Γ_{b | 1<<j} = Γ_b γ_j for every b below 1 << j, with Γ_b = i^k Z^z X^x
+        # and X^x Z^zj = (-1)^popcount(x & zj) Z^zj X^x
+        x[lo : 2 * lo] = x[:lo] ^ (1 << q)
         z[lo : 2 * lo] = z[:lo] ^ zj
-        c[lo : 2 * lo] = cj * np.where(np.bitwise_count(x[:lo] & zj) & 1, -c[:lo], c[:lo])
+        k[lo : 2 * lo] = (k[:lo] + (3 if j & 1 else 0) + 2 * (np.bitwise_count(x[:lo] & zj) & 1)) & 3
+    xz = x * d + z
     r = np.arange(d)
     h = np.where(np.bitwise_count(r[:, None] & r) & 1, -1.0, 1.0)
     cells = r * d + (r ^ r[:, None])
-    for table in (x, z, c, h, cells):
+    for table in (xz, k, h, cells):
         table.flags.writeable = False
-    return x, z, c, h, cells
+    return xz, k, h, cells
+
+
+# i^k and i^-k, indexed by k
+_I_POWERS = np.array([1, 1j, -1, -1j])
+_I_INVERSES = _I_POWERS.conj()
+
+
+@lru_cache(maxsize=64)
+def spinor_phase(n: int, neg_mask: int) -> np.ndarray:
+    """The phase exponents k of the Γ_b of Cl with n generators and ``neg_mask``: Γ_b's phase is i^k[b].
+
+    A generator that squares to -1 is i times its Cl(n,0) matrix, so k[b] is
+    the Cl(n,0) exponent plus popcount(b & neg_mask), mod 4.
+    """
+    k = spinor_form(n)[1]
+    if neg_mask:
+        k = (k + np.bitwise_count(np.arange(1 << n) & neg_mask).astype(np.uint8)) & 3
+        k.flags.writeable = False
+    return k
 
 
 def to_spinor(ib, vb, neg_mask, n):
-    """The complex matrix Σ_b v_b Γ_b of the blades ``ib`` and float values ``vb``."""
-    x, z, c, h, cells = spinor_form(n, neg_mask)
+    """The complex matrix Σ_b v_b Γ_b of the blades ``ib`` and float or int64 values ``vb``."""
+    xz, _, h, cells = spinor_form(n)
     d = len(h)
     # p[x, z] holds the Pauli string's weight; p @ h puts row r's signs on it
-    p = np.zeros((d, d), dtype=np.complex128)
-    p[x[ib], z[ib]] = vb * c[ib]
+    p = np.zeros(d * d, dtype=np.complex128)
+    p[xz[ib]] = vb * _I_POWERS[spinor_phase(n, neg_mask)[ib]]
     m = np.empty(d * d, dtype=np.complex128)
-    m[cells] = p @ h
+    m[cells] = p.reshape(d, d) @ h
     return m.reshape(d, d)
+
+
+def _spinor_traces(m, neg_mask, n):
+    """Re tr(Γ_bᴴ m) for every blade b: d times the real coefficients of m."""
+    xz, _, h, cells = spinor_form(n)
+    # h @ h = d I, so this inverts to_spinor; 1 / i^k = i^-k
+    p = m.ravel()[cells] @ h
+    return (p.ravel()[xz] * _I_INVERSES[spinor_phase(n, neg_mask)]).real
 
 
 def from_spinor(m, neg_mask, n):
     """The real coefficients c_b = Re tr(Γ_bᴴ m) / d of a spinor matrix, one per blade."""
-    x, z, c, h, cells = spinor_form(n, neg_mask)
-    # h @ h = d I, so this inverts to_spinor; 1 / c[b] = conj(c[b])
-    p = m.ravel()[cells] @ h
-    return (p[x, z] * c.conj()).real / len(h)
+    return _spinor_traces(m, neg_mask, n) / len(m)
+
+
+# the largest prime below 2^23: product_residue's float sums stay exact below it
+RESIDUE_PRIME = 8_388_593
+
+
+def _centre(f):
+    """Replace each entry of the float array ``f``, in place, by its residue mod RESIDUE_PRIME in (-p/2, p/2)."""
+    # for integers below 2^51, f / p errs by less than 2^-25 and lies at least
+    # 1 / 2p > 2^-24 from a half, so it rounds to the nearest quotient q; f - p q is exact
+    f -= RESIDUE_PRIME * np.rint(f / RESIDUE_PRIME)
+    return f
+
+
+def product_residue(ia, va, ib, vb, neg_mask, n):
+    """The geometric product mod p = RESIDUE_PRIME, as one spinor matrix product.
+
+    ``ia``/``ib`` are int64 blade arrays and ``va``/``vb`` int64 values in
+    (-p/2, p/2).  Returns the length-2^n int64 array of the product's
+    coefficients reduced mod p into (-p/2, p/2): the true coefficients when
+    the caller has bounded them by ma·mb·min(len(ia), len(ib)) < p/2.  Every
+    float below is an integer under 2^51, so exact:
+
+    - each spinor entry sums d ≤ 64 values, below 2^28, and is centred;
+    - a product entry sums d products of centred residues, below 2^51 (the
+      partial sums of a 3M complex multiply stay below 2^52), and is centred;
+    - a trace sums d centred entries, below 2^28, and times d⁻¹ mod p stays
+      below 2^51.
+    """
+    a = to_spinor(ia, va, neg_mask, n)
+    b = to_spinor(ib, vb, neg_mask, n)
+    _centre(a.view(np.float64))
+    _centre(b.view(np.float64))
+    m = a @ b
+    _centre(m.view(np.float64))
+    t = _spinor_traces(m, neg_mask, n)
+    t *= pow(len(m), -1, RESIDUE_PRIME)
+    return _centre(t).astype(np.int64)

@@ -16,17 +16,24 @@ samplers are built by the trusted ``_make`` and keep two invariants without
 re-checking: no coefficient is zero, and every integral exact coefficient is
 an ``int`` (so the next product can take the int64 kernel).
 
-Products of at least ``_DENSE_MIN_PAIRS`` blade pairs run on the dense
-kernel in :mod:`quatype._accel`: float64 for approximate operands, and int64
-for integer operands whose coefficient bound is provably safe against int64
-overflow.  The sparse path is the reference implementation and the only one
-that handles Fraction coefficients and big integers.
+Products of at least ``_DENSE_MIN_PAIRS`` blade pairs leave the sparse
+path for :mod:`quatype._accel`.  Approximate operands take the float64
+blade-pair kernel.  Integer operands take one of two exact paths, chosen by
+the coefficient bound B = max|u| · max|v| · min(len(u), len(v)): a
+geometric product of at least ``_RESIDUE_MIN_PAIRS_PER_BLADE`` pairs per
+blade of the algebra whose B is below p/2 runs as one spinor matrix product
+mod the prime p = ``_accel.RESIDUE_PRIME``; any other product whose B is
+int64-safe runs on the int64 blade-pair kernel.  The sparse path is the
+reference implementation and the only one that handles Fraction
+coefficients and big integers.  ``product_paths`` counts the products each
+path ran, keyed ``sparse``, ``int64``, ``float64`` and ``residue``.
 """
 
 from __future__ import annotations
 
 import json
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -45,6 +52,13 @@ Coeff = Union[int, Fraction]
 _DENSE_MIN_PAIRS = 64
 # any product whose coefficient bound stays under this is int64-safe
 _INT64_SAFE_BOUND = 1 << 62
+# below about this many blade pairs per blade of the algebra the int64 kernel
+# beats the residue path: the measured crossover is about 48 at n = 7, 32 or
+# fewer at n = 8 and 9, and 16 to 32 or fewer at n = 10 to 12
+_RESIDUE_MIN_PAIRS_PER_BLADE = 64
+
+# products run by each path since import
+product_paths: Counter = Counter()
 
 
 class SignatureMismatchError(ValueError):
@@ -201,25 +215,34 @@ def _dense_coeffs(out: np.ndarray) -> dict:
     return dict(zip(nz.tolist(), out[nz].tolist()))
 
 
-def _mul_dense(ca: dict, cb: dict, sig: Signature, exterior: bool, dtype) -> dict:
+def _mul_dense(ca: dict, cb: dict, sig: Signature, kernel, dtype, **kwargs) -> dict:
     ia, va = _blade_arrays(ca, dtype)
     ib, vb = _blade_arrays(cb, dtype)
-    return _dense_coeffs(_accel.product_dense(ia, va, ib, vb, sig.neg_mask, sig.n, exterior=exterior))
+    return _dense_coeffs(kernel(ia, va, ib, vb, sig.neg_mask, sig.n, **kwargs))
 
 
 def _mul_coeffs(ca: dict, cb: dict, sig: Signature, exterior: bool, approx: bool) -> dict:
     if not ca or not cb:
         return {}
-    if len(ca) * len(cb) >= _DENSE_MIN_PAIRS:
+    pairs = len(ca) * len(cb)
+    if pairs >= _DENSE_MIN_PAIRS:
         if approx:
+            product_paths["float64"] += 1
             # float overflow surfaces as inf/NaN, which classification reports;
-            # the int64 path below cannot overflow within its bound
+            # the exact paths below cannot overflow within their bounds
             with np.errstate(over="ignore", invalid="ignore"):
-                return _mul_dense(ca, cb, sig, exterior, np.float64)
+                return _mul_dense(ca, cb, sig, _accel.product_dense, np.float64, exterior=exterior)
         ma = _int_bound(ca)
         mb = _int_bound(cb) if ma is not None else None
-        if mb is not None and ma * mb * min(len(ca), len(cb)) < _INT64_SAFE_BOUND:
-            return _mul_dense(ca, cb, sig, exterior, np.int64)
+        if mb is not None:
+            bound = ma * mb * min(len(ca), len(cb))
+            if not exterior and 2 * bound < _accel.RESIDUE_PRIME and pairs >= _RESIDUE_MIN_PAIRS_PER_BLADE << sig.n:
+                product_paths["residue"] += 1
+                return _mul_dense(ca, cb, sig, _accel.product_residue, np.int64)
+            if bound < _INT64_SAFE_BOUND:
+                product_paths["int64"] += 1
+                return _mul_dense(ca, cb, sig, _accel.product_dense, np.int64, exterior=exterior)
+    product_paths["sparse"] += 1
     return _mul_sparse(ca, cb, sig.neg_mask, exterior)
 
 

@@ -1,13 +1,14 @@
-"""Cross-checks between the dense kernel and the sparse reference path."""
+"""Cross-checks between the product kernels, the spinor form and the sparse reference path."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from quatype import _accel, algebra
-from quatype.algebra import Multivector, Signature, random_multivector
+from quatype.algebra import ApproxMultivector, Multivector, Signature, random_multivector
 from quatype.algebra import _mul_sparse, blade_product, ext_blade_product
 
 
@@ -194,5 +195,155 @@ def test_spinor_matrices_multiply_like_blades_above_six(n):
 
 
 def test_spinor_tables_stay_small_at_n_12():
+    # one set of tables per n; a signature adds only its 2^12 phases
+    assert sum(t.nbytes for t in _accel.spinor_form(12)) < 1 << 20
+    assert _accel.spinor_phase(12, Signature(6, 6).neg_mask).nbytes <= 1 << 12
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_spinor_phase_factors_through_the_negative_generators(n):
+    # row 0 of Γ_b, built as the ordered product of the generator matrices,
+    # holds the phase c[b] at column x[b]; in every signature it must be the
+    # Cl(n,0) phase times i for each generator of b that squares to -1
+    xz, _, h, _ = _accel.spinor_form(n)
+    x = xz // len(h)
+    blades = np.arange(1 << n)
+    one = np.ones(1)
+
+    def phases(neg_mask):
+        rows = np.zeros((1 << n, len(h)), dtype=np.complex128)
+        rows[0, 0] = 1
+        for j in range(n):
+            gamma = _accel.to_spinor(np.array([1 << j]), one, neg_mask, n)
+            rows[1 << j : 2 << j] = rows[: 1 << j] @ gamma
+        return rows[blades, x]
+
+    base = phases(0)
+    for p in range(n + 1):
+        neg_mask = Signature(p, n - p).neg_mask
+        c = phases(neg_mask)
+        assert (c == base * np.array([1, 1j, -1, -1j])[np.bitwise_count(blades & neg_mask) & 3]).all(), p
+        assert (c == np.array([1, 1j, -1, -1j])[_accel.spinor_phase(n, neg_mask)]).all(), p
+
+
+def _full(sig, rng, lo=1, hi=9):
+    """A multivector on every blade of ``sig`` with coefficients ±lo..hi."""
+    return Multivector(sig, {b: rng.choice((-1, 1)) * rng.randint(lo, hi) for b in range(1 << sig.n)})
+
+
+def _assert_byte_equal(w, reference):
+    # the same coefficients, each of the same type
+    assert sorted((b, type(v), v) for b, v in w._coeffs.items()) == sorted((b, type(v), v) for b, v in reference.items())
+
+
+def test_residue_path_matches_blade_products_exhaustively(monkeypatch):
+    # every product takes the residue path; e_a times Σ (b + 1) e_b puts each
+    # weight b + 1 alone in slot a ^ b, carrying the sign of e_a e_b
+    monkeypatch.setattr(algebra, "_DENSE_MIN_PAIRS", 0)
+    monkeypatch.setattr(algebra, "_RESIDUE_MIN_PAIRS_PER_BLADE", 0)
+    monkeypatch.setattr(algebra, "product_paths", Counter())
+    calls = 0
+    for n in range(1, 7):
+        for p in range(n + 1):
+            sig = Signature(p, n - p)
+            weights = Multivector(sig, {b: b + 1 for b in range(1 << n)})
+            for a in range(1 << n):
+                w = Multivector(sig, {a: 1}) * weights
+                calls += 1
+                for b in range(1 << n):
+                    sign, target = blade_product(sig, a, b)
+                    assert w.coefficient(target) == sign * (b + 1), (sig, a, b)
+    assert algebra.product_paths == Counter(residue=calls)
+
+
+@pytest.mark.parametrize("p, q", [(11, 0), (5, 6), (12, 0), (6, 6)])
+def test_residue_products_byte_equal_sparse(p, q, monkeypatch):
+    monkeypatch.setattr(algebra, "product_paths", Counter())
+    sig = Signature(p, q)
+    rng = random.Random(p * 17 + q)
+    u, v = _full(sig, rng), _full(sig, rng)
+    w = u * v
+    assert algebra.product_paths == Counter(residue=1)
+    _assert_byte_equal(w, _mul_sparse(u._coeffs, v._coeffs, sig.neg_mask, False))
+
+
+@pytest.mark.parametrize("mb, path", [(113, "residue"), (114, "int64")])
+def test_residue_bound_is_tight(mb, path, monkeypatch):
+    # with ±9 against ±mb on all 4096 blades, the bound B = 9 mb 4096 sits
+    # just under p/2 at mb = 113 and just over at 114; the signs below make
+    # the scalar coefficient reach B itself
+    monkeypatch.setattr(algebra, "product_paths", Counter())
     sig = Signature(12, 0)
-    assert sum(t.nbytes for t in _accel.spinor_form(sig.n, sig.neg_mask)) < 1 << 20
+    u = _full(sig, random.Random(mb), lo=9)
+    v = Multivector(sig, {b: mb * blade_product(sig, b, b)[0] * (1 if c > 0 else -1) for b, c in u.terms()})
+    bound = 9 * mb * 4096
+    assert (2 * bound < _accel.RESIDUE_PRIME) == (path == "residue")
+    w = u * v
+    assert algebra.product_paths == Counter({path: 1})
+    assert w.coefficient(0) == bound
+    _assert_byte_equal(w, _mul_sparse(u._coeffs, v._coeffs, sig.neg_mask, False))
+    # past p/2 the residue lift would wrap the scalar coefficient
+    ia, va = _arrays(u._coeffs, np.int64)
+    ib, vb = _arrays(v._coeffs, np.int64)
+    lifted = _accel.product_residue(ia, va, ib, vb, sig.neg_mask, sig.n)[0]
+    assert lifted == (bound if path == "residue" else bound - _accel.RESIDUE_PRIME)
+
+
+def _aligned(sig, line, full, rng):
+    """Residues between p/4 and p/2 on every blade (``full``) or on one blade per
+    Pauli string x, signed so that the nonzero entry of row 0 (``line`` 0) or
+    column 0 (``line`` 1) of each Γ_b is a positive or positive imaginary value."""
+    half = _accel.RESIDUE_PRIME // 2
+    coeffs, seen = {}, set()
+    for b in range(1 << sig.n):
+        gamma = _accel.to_spinor(np.array([b]), np.ones(1), sig.neg_mask, sig.n)
+        entries = gamma[0] if line == 0 else gamma[:, 0]
+        x = int(np.flatnonzero(entries)[0])
+        if full or x not in seen:
+            seen.add(x)
+            coeffs[b] = rng.randint(half // 2, half) * (1 if entries[x] in (1, 1j) else -1)
+    return coeffs
+
+
+@pytest.mark.parametrize("full_side", [0, 1])
+@pytest.mark.parametrize("p, q", [(4, 4), (3, 6), (12, 0), (5, 6)])
+def test_residue_product_is_the_product_mod_p(p, q, full_side):
+    # every coefficient of the exact product wraps mod p many times over.  At
+    # n = 11 and 12 the full operand's row 0 (or column 0) sums 32 to 64
+    # aligned blades per entry, past p/2, and against the other operand's
+    # aligned entries the imaginary part of entry (0, 0) of the matrix
+    # product passes 2^53 unless both spinor matrices are reduced first
+    sig = Signature(p, q)
+    rng = random.Random(p + 2 * full_side)
+    u = _aligned(sig, 0, full_side == 0, rng)
+    v = _aligned(sig, 1, full_side == 1, rng)
+    out = _accel.product_residue(*_arrays(u, np.int64), *_arrays(v, np.int64), sig.neg_mask, sig.n)
+    exact = _mul_sparse(u, v, sig.neg_mask, False)
+    half = _accel.RESIDUE_PRIME // 2
+    assert out.tolist() == [(exact.get(b, 0) + half) % _accel.RESIDUE_PRIME - half for b in range(1 << sig.n)]
+
+
+def test_large_wedges_stay_on_the_int64_kernel(monkeypatch):
+    # the residue path computes geometric products only
+    monkeypatch.setattr(algebra, "product_paths", Counter())
+    sig = Signature(4, 4)
+    rng = random.Random(44)
+    u, v = _full(sig, rng), _full(sig, rng)
+    w = u ^ v
+    assert algebra.product_paths == Counter(int64=1)
+    _assert_byte_equal(w, _mul_sparse(u._coeffs, v._coeffs, sig.neg_mask, True))
+
+
+def test_product_paths_count_each_product(monkeypatch):
+    monkeypatch.setattr(algebra, "product_paths", Counter())
+    sig = Signature(12, 0)
+    rng = random.Random(12)
+    _full(sig, rng) * _full(sig, rng)
+    assert algebra.product_paths == Counter(residue=1)
+    vectors = [Multivector(sig, {1 << j: rng.randint(1, 9) for j in range(12)}) for _ in range(2)]
+    vectors[0] * vectors[1]
+    assert algebra.product_paths == Counter(residue=1, int64=1)
+    vectors[0] ^ vectors[1]
+    Multivector.generator(sig, 1) * vectors[0]
+    ApproxMultivector.from_exact(vectors[0]) * ApproxMultivector.from_exact(vectors[1])
+    assert algebra.product_paths == Counter(residue=1, int64=2, sparse=1, float64=1)
