@@ -25,10 +25,9 @@ Spinors*, 2001) maps Cl faithfully into complex d x d matrices, d =
 d-bit masks and a phase i^k, so a multivector goes there and back by one
 d x d matrix product (:func:`spinor_form`, cached per n, and
 :func:`spinor_phase`, the exponents k per signature).  The Clifford series
-run there in float64.  :func:`product_residue` multiplies integer
-multivectors there exactly, with every entry reduced mod one prime below
-2^23 (the residue method, Knuth, TAOCP vol. 2, §4.3.2): O(2^1.5n) work in
-place of the kernel's O(4^n) blade pairs.
+run there in float64.  :func:`product_spinor` multiplies integer
+multivectors there exactly in complex128, with no reduction: O(2^1.5n) work
+in place of the kernel's O(4^n) blade pairs.
 """
 
 from __future__ import annotations
@@ -152,52 +151,25 @@ def to_spinor(ib, vb, neg_mask, n):
     return m.reshape(d, d)
 
 
-def _spinor_traces(m, neg_mask, n):
-    """Re tr(Γ_bᴴ m) for every blade b: d times the real coefficients of m."""
+def from_spinor(m, neg_mask, n):
+    """The real coefficients c_b = Re tr(Γ_bᴴ m) / d of a spinor matrix, one per blade."""
     xz, _, h, cells = spinor_form(n)
     # h @ h = d I, so this inverts to_spinor; 1 / i^k = i^-k
     p = m.ravel()[cells] @ h
-    return (p.ravel()[xz] * _I_INVERSES[spinor_phase(n, neg_mask)]).real
+    return (p.ravel()[xz] * _I_INVERSES[spinor_phase(n, neg_mask)]).real / len(m)
 
 
-def from_spinor(m, neg_mask, n):
-    """The real coefficients c_b = Re tr(Γ_bᴴ m) / d of a spinor matrix, one per blade."""
-    return _spinor_traces(m, neg_mask, n) / len(m)
+def product_spinor(ia, va, ib, vb, neg_mask, n):
+    """The geometric product as one spinor matrix product: a length-2^n int64 coefficient array.
 
-
-# the largest prime below 2^23: product_residue's float sums stay exact below it
-RESIDUE_PRIME = 8_388_593
-
-
-def _centre(f):
-    """Replace each entry of the float array ``f``, in place, by its residue mod RESIDUE_PRIME in (-p/2, p/2)."""
-    # for integers below 2^51, f / p errs by less than 2^-25 and lies at least
-    # 1 / 2p > 2^-24 from a half, so it rounds to the nearest quotient q; f - p q is exact
-    f -= RESIDUE_PRIME * np.rint(f / RESIDUE_PRIME)
-    return f
-
-
-def product_residue(ia, va, ib, vb, neg_mask, n):
-    """The geometric product mod p = RESIDUE_PRIME, as one spinor matrix product.
-
-    ``ia``/``ib`` are int64 blade arrays and ``va``/``vb`` int64 values in
-    (-p/2, p/2).  Returns the length-2^n int64 array of the product's
-    coefficients reduced mod p into (-p/2, p/2): the true coefficients when
-    the caller has bounded them by ma·mb·min(len(ia), len(ib)) < p/2.  Every
-    float below is an integer under 2^51, so exact:
-
-    - each spinor entry sums d ≤ 64 values, below 2^28, and is centred;
-    - a product entry sums d products of centred residues, below 2^51 (the
-      partial sums of a 3M complex multiply stay below 2^52), and is centred;
-    - a trace sums d centred entries, below 2^28, and times d⁻¹ mod p stays
-      below 2^51.
+    ``ia``/``ib`` are int64 blade arrays and ``va``/``vb`` integral float64
+    values.  Exact when the caller has bounded 2 d ‖va‖₁ ‖vb‖₁ below 2^53:
+    a row of the first spinor matrix sums to at most ‖va‖₁ in |Re| + |Im|
+    and an entry of the second to at most ‖vb‖₁, so every partial sum of
+    the matrix product stays within ‖va‖₁ ‖vb‖₁ and of a trace within d
+    times that, in any summation order.  A 3M complex multiply subtracts
+    two such sums, hence the 2.  Every float is then an integer below 2^53,
+    and the traces are d times the coefficients, d a power of 2.
     """
-    a = to_spinor(ia, va, neg_mask, n)
-    b = to_spinor(ib, vb, neg_mask, n)
-    _centre(a.view(np.float64))
-    _centre(b.view(np.float64))
-    m = a @ b
-    _centre(m.view(np.float64))
-    t = _spinor_traces(m, neg_mask, n)
-    t *= pow(len(m), -1, RESIDUE_PRIME)
-    return _centre(t).astype(np.int64)
+    m = to_spinor(ia, va, neg_mask, n) @ to_spinor(ib, vb, neg_mask, n)
+    return from_spinor(m, neg_mask, n).astype(np.int64)

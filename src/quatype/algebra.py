@@ -18,15 +18,15 @@ an ``int`` (so the next product can take the int64 kernel).
 
 Products of at least ``_DENSE_MIN_PAIRS`` blade pairs leave the sparse
 path for :mod:`quatype._accel`.  Approximate operands take the float64
-blade-pair kernel.  Integer operands take one of two exact paths, chosen by
-the coefficient bound B = max|u| · max|v| · min(len(u), len(v)): a
-geometric product of at least ``_RESIDUE_MIN_PAIRS_PER_BLADE`` pairs per
-blade of the algebra whose B is below p/2 runs as one spinor matrix product
-mod the prime p = ``_accel.RESIDUE_PRIME``; any other product whose B is
+blade-pair kernel.  Integer operands take one of two exact paths: a
+geometric product of at least ``_SPINOR_MIN_PAIRS_PER_BLADE`` pairs per
+blade of the algebra with 2 d ‖u‖₁ ‖v‖₁ < 2^53, d the spinor dimension,
+runs as one complex128 spinor matrix product, exact in floats; any other
+product whose bound B = max|u| · max|v| · min(len(u), len(v)) is
 int64-safe runs on the int64 blade-pair kernel.  The sparse path is the
 reference implementation and the only one that handles Fraction
 coefficients and big integers.  ``product_paths`` counts the products each
-path ran, keyed ``sparse``, ``int64``, ``float64`` and ``residue``.
+path ran, keyed ``sparse``, ``int64``, ``float64`` and ``spinor``.
 """
 
 from __future__ import annotations
@@ -53,9 +53,11 @@ _DENSE_MIN_PAIRS = 64
 # any product whose coefficient bound stays under this is int64-safe
 _INT64_SAFE_BOUND = 1 << 62
 # below about this many blade pairs per blade of the algebra the int64 kernel
-# beats the residue path: the measured crossover is about 48 at n = 7, 32 or
-# fewer at n = 8 and 9, and 16 to 32 or fewer at n = 10 to 12
-_RESIDUE_MIN_PAIRS_PER_BLADE = 64
+# beats the spinor path: the measured crossover is about 32 to 48 at n = 6
+# and 7, about 16 at n = 8 and 9, and 8 to 32 at n = 10 to 12
+_SPINOR_MIN_PAIRS_PER_BLADE = 64
+# the spinor path is exact while 2 d ‖u‖₁ ‖v‖₁ stays below this
+_SPINOR_EXACT_BOUND = 1 << 53
 
 # products run by each path since import
 product_paths: Counter = Counter()
@@ -191,17 +193,18 @@ def _mul_sparse(ca: dict, cb: dict, neg_mask: int, exterior: bool) -> dict:
     return _clean(out)
 
 
-def _int_bound(coeffs: dict) -> int | None:
-    """Max abs value if every coefficient is an int, else None."""
-    m = 0
+def _int_bound(coeffs: dict) -> tuple[int, int] | None:
+    """(max, sum) of the abs values if every coefficient is an int, else None."""
+    m = total = 0
     for v in coeffs.values():
         if not isinstance(v, int):
             return None
         if v < 0:
             v = -v
+        total += v
         if v > m:
             m = v
-    return m
+    return m, total
 
 
 def _blade_arrays(coeffs: dict, dtype) -> tuple[np.ndarray, np.ndarray]:
@@ -232,14 +235,15 @@ def _mul_coeffs(ca: dict, cb: dict, sig: Signature, exterior: bool, approx: bool
             # the exact paths below cannot overflow within their bounds
             with np.errstate(over="ignore", invalid="ignore"):
                 return _mul_dense(ca, cb, sig, _accel.product_dense, np.float64, exterior=exterior)
-        ma = _int_bound(ca)
-        mb = _int_bound(cb) if ma is not None else None
-        if mb is not None:
-            bound = ma * mb * min(len(ca), len(cb))
-            if not exterior and 2 * bound < _accel.RESIDUE_PRIME and pairs >= _RESIDUE_MIN_PAIRS_PER_BLADE << sig.n:
-                product_paths["residue"] += 1
-                return _mul_dense(ca, cb, sig, _accel.product_residue, np.int64)
-            if bound < _INT64_SAFE_BOUND:
+        na = _int_bound(ca)
+        nb = _int_bound(cb) if na is not None else None
+        if nb is not None:
+            (ma, la), (mb, lb) = na, nb
+            d = 1 << ((sig.n + 1) >> 1)  # the spinor matrices are d x d
+            if not exterior and pairs >= _SPINOR_MIN_PAIRS_PER_BLADE << sig.n and 2 * d * la * lb < _SPINOR_EXACT_BOUND:
+                product_paths["spinor"] += 1
+                return _mul_dense(ca, cb, sig, _accel.product_spinor, np.float64)
+            if ma * mb * min(len(ca), len(cb)) < _INT64_SAFE_BOUND:
                 product_paths["int64"] += 1
                 return _mul_dense(ca, cb, sig, _accel.product_dense, np.int64, exterior=exterior)
     product_paths["sparse"] += 1

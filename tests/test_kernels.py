@@ -237,10 +237,10 @@ def _assert_byte_equal(w, reference):
 
 
 def test_residue_path_matches_blade_products_exhaustively(monkeypatch):
-    # every product takes the residue path; e_a times Σ (b + 1) e_b puts each
+    # every product takes the spinor path; e_a times Σ (b + 1) e_b puts each
     # weight b + 1 alone in slot a ^ b, carrying the sign of e_a e_b
     monkeypatch.setattr(algebra, "_DENSE_MIN_PAIRS", 0)
-    monkeypatch.setattr(algebra, "_RESIDUE_MIN_PAIRS_PER_BLADE", 0)
+    monkeypatch.setattr(algebra, "_SPINOR_MIN_PAIRS_PER_BLADE", 0)
     monkeypatch.setattr(algebra, "product_paths", Counter())
     calls = 0
     for n in range(1, 7):
@@ -253,7 +253,7 @@ def test_residue_path_matches_blade_products_exhaustively(monkeypatch):
                 for b in range(1 << n):
                     sign, target = blade_product(sig, a, b)
                     assert w.coefficient(target) == sign * (b + 1), (sig, a, b)
-    assert algebra.product_paths == Counter(residue=calls)
+    assert algebra.product_paths == Counter(spinor=calls)
 
 
 @pytest.mark.parametrize("p, q", [(11, 0), (5, 6), (12, 0), (6, 6)])
@@ -263,68 +263,53 @@ def test_residue_products_byte_equal_sparse(p, q, monkeypatch):
     rng = random.Random(p * 17 + q)
     u, v = _full(sig, rng), _full(sig, rng)
     w = u * v
-    assert algebra.product_paths == Counter(residue=1)
+    assert algebra.product_paths == Counter(spinor=1)
     _assert_byte_equal(w, _mul_sparse(u._coeffs, v._coeffs, sig.neg_mask, False))
 
 
-@pytest.mark.parametrize("mb, path", [(113, "residue"), (114, "int64")])
-def test_residue_bound_is_tight(mb, path, monkeypatch):
-    # with ±9 against ±mb on all 4096 blades, the bound B = 9 mb 4096 sits
-    # just under p/2 at mb = 113 and just over at 114; the signs below make
-    # the scalar coefficient reach B itself
+@pytest.mark.parametrize("over, path", [(0, "spinor"), (1, "int64")])
+@pytest.mark.parametrize("p, q", [(12, 0), (6, 6), (0, 12)])
+def test_spinor_gate_is_tight(p, q, over, path, monkeypatch):
+    # u = A + 63 unit blades against v = C + 4095 unit blades is 64 · 4096
+    # pairs, the threshold at n = 12, with d = 64.  ‖u‖₁ = 2^27 and
+    # ‖v‖₁ = 2^19 - 1 + over put 2 d ‖u‖₁ ‖v‖₁ just under 2^53, or at it.
+    # The signs make every u_b v_b e_b e_b positive, so the scalar
+    # coefficient is A C + 63 and its trace, 64 times that, is about 2^52.
+    # A needs 27 bits, more than a float32 holds
     monkeypatch.setattr(algebra, "product_paths", Counter())
-    sig = Signature(12, 0)
-    u = _full(sig, random.Random(mb), lo=9)
-    v = Multivector(sig, {b: mb * blade_product(sig, b, b)[0] * (1 if c > 0 else -1) for b, c in u.terms()})
-    bound = 9 * mb * 4096
-    assert (2 * bound < _accel.RESIDUE_PRIME) == (path == "residue")
-    w = u * v
-    assert algebra.product_paths == Counter({path: 1})
-    assert w.coefficient(0) == bound
-    _assert_byte_equal(w, _mul_sparse(u._coeffs, v._coeffs, sig.neg_mask, False))
-    # past p/2 the residue lift would wrap the scalar coefficient
-    ia, va = _arrays(u._coeffs, np.int64)
-    ib, vb = _arrays(v._coeffs, np.int64)
-    lifted = _accel.product_residue(ia, va, ib, vb, sig.neg_mask, sig.n)[0]
-    assert lifted == (bound if path == "residue" else bound - _accel.RESIDUE_PRIME)
-
-
-def _aligned(sig, line, full, rng):
-    """Residues between p/4 and p/2 on every blade (``full``) or on one blade per
-    Pauli string x, signed so that the nonzero entry of row 0 (``line`` 0) or
-    column 0 (``line`` 1) of each Γ_b is a positive or positive imaginary value."""
-    half = _accel.RESIDUE_PRIME // 2
-    coeffs, seen = {}, set()
-    for b in range(1 << sig.n):
-        gamma = _accel.to_spinor(np.array([b]), np.ones(1), sig.neg_mask, sig.n)
-        entries = gamma[0] if line == 0 else gamma[:, 0]
-        x = int(np.flatnonzero(entries)[0])
-        if full or x not in seen:
-            seen.add(x)
-            coeffs[b] = rng.randint(half // 2, half) * (1 if entries[x] in (1, 1j) else -1)
-    return coeffs
-
-
-@pytest.mark.parametrize("full_side", [0, 1])
-@pytest.mark.parametrize("p, q", [(4, 4), (3, 6), (12, 0), (5, 6)])
-def test_residue_product_is_the_product_mod_p(p, q, full_side):
-    # every coefficient of the exact product wraps mod p many times over.  At
-    # n = 11 and 12 the full operand's row 0 (or column 0) sums 32 to 64
-    # aligned blades per entry, past p/2, and against the other operand's
-    # aligned entries the imaginary part of entry (0, 0) of the matrix
-    # product passes 2^53 unless both spinor matrices are reduced first
     sig = Signature(p, q)
-    rng = random.Random(p + 2 * full_side)
-    u = _aligned(sig, 0, full_side == 0, rng)
-    v = _aligned(sig, 1, full_side == 1, rng)
-    out = _accel.product_residue(*_arrays(u, np.int64), *_arrays(v, np.int64), sig.neg_mask, sig.n)
-    exact = _mul_sparse(u, v, sig.neg_mask, False)
-    half = _accel.RESIDUE_PRIME // 2
-    assert out.tolist() == [(exact.get(b, 0) + half) % _accel.RESIDUE_PRIME - half for b in range(1 << sig.n)]
+    rng = random.Random(p + over)
+    a, c = (1 << 27) - 63, (1 << 19) - 1 + over - 4095
+    u = {0: a} | {b: rng.choice((-1, 1)) for b in rng.sample(range(1, 1 << 12), 63)}
+    v = {0: c} | {b: blade_product(sig, b, b)[0] * u.get(b, rng.choice((-1, 1))) for b in range(1, 1 << 12)}
+    norms = sum(map(abs, u.values())) * sum(map(abs, v.values()))
+    assert (2 * 64 * norms < 1 << 53) == (path == "spinor")
+    w = Multivector(sig, u) * Multivector(sig, v)
+    assert algebra.product_paths == Counter({path: 1})
+    assert w.coefficient(0) == a * c + 63
+    _assert_byte_equal(w, _mul_sparse(u, v, sig.neg_mask, False))
+
+
+@pytest.mark.parametrize("p, q", [(8, 0), (5, 3), (4, 4), (0, 8)])
+def test_spinor_path_is_exact_for_large_coefficients(p, q, monkeypatch):
+    # U^2 has coefficients in the thousands, so U^2 U^2 has B = max|U^2|^2 · 256
+    # past 2^30 and coefficients past 2^23 themselves, yet
+    # 2 d ‖U^2‖₁^2 = 32 ‖U^2‖₁^2 stays under 2^53
+    sig = Signature(p, q)
+    u = _full(sig, random.Random(p), lo=9)
+    square = u * u
+    bound = square.max_abs() ** 2 * 256
+    assert bound > 1 << 30 and 32 * sum(abs(c) for _, c in square.terms()) ** 2 < 1 << 53
+    monkeypatch.setattr(algebra, "product_paths", Counter())
+    w = square * square
+    assert algebra.product_paths == Counter(spinor=1)
+    assert w.max_abs() > 1 << 23
+    _assert_byte_equal(w, _mul_sparse(square._coeffs, square._coeffs, sig.neg_mask, False))
+    assert u**4 == w
 
 
 def test_large_wedges_stay_on_the_int64_kernel(monkeypatch):
-    # the residue path computes geometric products only
+    # the spinor path computes geometric products only
     monkeypatch.setattr(algebra, "product_paths", Counter())
     sig = Signature(4, 4)
     rng = random.Random(44)
@@ -339,11 +324,11 @@ def test_product_paths_count_each_product(monkeypatch):
     sig = Signature(12, 0)
     rng = random.Random(12)
     _full(sig, rng) * _full(sig, rng)
-    assert algebra.product_paths == Counter(residue=1)
+    assert algebra.product_paths == Counter(spinor=1)
     vectors = [Multivector(sig, {1 << j: rng.randint(1, 9) for j in range(12)}) for _ in range(2)]
     vectors[0] * vectors[1]
-    assert algebra.product_paths == Counter(residue=1, int64=1)
+    assert algebra.product_paths == Counter(spinor=1, int64=1)
     vectors[0] ^ vectors[1]
     Multivector.generator(sig, 1) * vectors[0]
     ApproxMultivector.from_exact(vectors[0]) * ApproxMultivector.from_exact(vectors[1])
-    assert algebra.product_paths == Counter(residue=1, int64=2, sparse=1, float64=1)
+    assert algebra.product_paths == Counter(spinor=1, int64=2, sparse=1, float64=1)
