@@ -120,7 +120,9 @@ def class_type_uniformity(kind, types: Sequence[int]) -> int:
 
     Folds the two-operand type rule through each chain of the class and
     checks that all chains agree and match the k-fold closed form; a
-    disagreement would mean the type formulas are inconsistent.
+    disagreement would mean the type formulas are inconsistent.  A chain's
+    type is a_1 ⊕ ... ⊕ a_k ⊕ 2·(number of commutator tags), so the chains
+    of one sign class, which share that number's parity, agree.
     """
     kind = as_kind(kind)
     k = len(types)

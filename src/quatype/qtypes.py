@@ -8,20 +8,24 @@ every type, so "zero ⊆ anything" is literal subset containment).
 Inference works on residues: a k-fold commutator of main types a_1..a_k has
 type (Σa_i + 1 + (-1)^S) mod 4 with S = Σ_{i<j} a_i a_j, the anticommutator
 the same with the opposite sign, and a plain product lands in {0,2} or {1,3}
-according to the parity of Σa_i.  The sharp/flat/natural operations permute
-the four main types and form a Klein four-group with the identity.
+according to the parity of Σa_i.  On two-bit residues the bracket rule is an
+XOR: Σa_i differs from a_1 ⊕ ... ⊕ a_k only by the carries into the 2-bit,
+⌊#odd/2⌋ of them, and that count has the parity of S.  So the anticommutator
+has type a_1 ⊕ ... ⊕ a_k and the commutator that XOR ⊕ 2.  The
+sharp/flat/natural operations are XOR with the masks 2, 1, 3; with the
+identity they form the Klein four-group.
 
 Every rule runs on one engine, with :func:`infer_kfold` and
 :func:`infer_product` as its cases of main-type operands: a tuple of
-operand types reduces to its residue states (Σ residues mod 4, number of odd
-residues mod 4), built one operand at a time by ``_step``, and each rule
-reads its type off those states.  k-fold brackets apply the bracket formula
-(``_bracket_types``), products take the parity of the total, exterior
-products and powers take the totals, Clifford powers are half their own
-anticommutator.  The states of m = 0, 1, 2, ... copies of a type form one
-short cycle (``_power_states``), so a power's type costs the same for any m.
-One table, ``_SERIES``, gives the power parities and sign rule of each
-elementary function; :func:`series_type` and :mod:`quatype.powers` read it.
+operand types reduces to its reach set, the XORs of one residue drawn from
+each operand (``_reach``), and each rule reads its type off that set.
+Anticommutators read it as is, commutators ⊕ 2, products keep its parities,
+Clifford powers are half their own anticommutator.  Exterior products and
+powers add grades, so they read the sums mod 4 instead.  The reach sets of
+m = 0, 1, 2, ... copies of a type form one short cycle (``_power_reach``), so
+a power's type costs the same for any m.  One table, ``_SERIES``, gives the
+power parities and sign rule of each elementary function; :func:`series_type`
+and :mod:`quatype.powers` read it.
 """
 
 from __future__ import annotations
@@ -129,7 +133,7 @@ def as_kind(kind) -> BracketKind:
 
 
 class MusicalOp(enum.Enum):
-    """Identity, sharp, flat, natural: involutive permutations of 0..3."""
+    """Identity, sharp, flat, natural: XOR of a residue with the mask 0, 2, 1, 3."""
 
     IDENTITY = "I"
     SHARP = "#"
@@ -138,25 +142,22 @@ class MusicalOp(enum.Enum):
 
     @property
     def permutation(self) -> tuple[int, int, int, int]:
-        return _PERMS[self]
+        return tuple(t ^ self._mask for t in range(4))
 
     def apply_residue(self, t: int) -> int:
         if t not in (0, 1, 2, 3):
             raise ValueError(f"residue must be 0..3, got {t}")
-        return _PERMS[self][t]
+        return t ^ self._mask
+
+    @property
+    def _mask(self) -> int:
+        return _BY_MASK.index(self)
 
     def __str__(self) -> str:
         return self.value
 
 
-_PERMS = {
-    MusicalOp.IDENTITY: (0, 1, 2, 3),
-    MusicalOp.SHARP: (2, 3, 0, 1),  # +2 mod 4
-    MusicalOp.FLAT: (1, 0, 3, 2),  # 0<->1, 2<->3
-    MusicalOp.NATURAL: (3, 2, 1, 0),  # 0<->3, 1<->2
-}
-
-_PERM_TO_OP = {perm: op for op, perm in _PERMS.items()}
+_BY_MASK = (MusicalOp.IDENTITY, MusicalOp.FLAT, MusicalOp.SHARP, MusicalOp.NATURAL)
 
 
 def musical_apply(op: MusicalOp, t: QType) -> QType:
@@ -165,9 +166,8 @@ def musical_apply(op: MusicalOp, t: QType) -> QType:
 
 
 def musical_compose(a: MusicalOp, b: MusicalOp) -> MusicalOp:
-    """Composition a∘b (apply b, then a); the group is the Klein four-group."""
-    pa, pb = a.permutation, b.permutation
-    return _PERM_TO_OP[tuple(pa[pb[k]] for k in range(4))]
+    """Composition a∘b (apply b, then a): the XOR of the masks; the group is the Klein four-group."""
+    return _BY_MASK[a._mask ^ b._mask]
 
 
 # ---------------------------------------------------------------------------
@@ -227,60 +227,32 @@ def infer_product(types: Sequence[int]) -> QType:
 
 
 def infer_pair_musical(kind, partner: int) -> MusicalOp:
-    """The musical operation m with bracket(k, partner) of type m(k) for all k."""
-    kind = as_kind(kind)
-    _check_main(partner)
-    perm = tuple(infer_pair(kind, k, partner) for k in range(4))
-    return _PERM_TO_OP[perm]
+    """The musical operation m with bracket(k, partner) of type m(k) for all k.
+
+    The bracket is XOR-linear in k, so m's mask is the bracket's type at k = 0.
+    """
+    return _BY_MASK[infer_pair(kind, 0, partner)]
 
 
 # ---------------------------------------------------------------------------
-# inference over compound types: the residue-state engine
+# inference over compound types: the reach-set engine
 #
 # Brackets and products are multilinear, so a compound operand contributes
-# the union over its member residues.  Only (Σ residues mod 4) and the
-# number of odd residues mod 4 matter (S = Σ_{i<j} a_i a_j is odd exactly
-# when C(#odd, 2) is), which keeps the sweep linear in the operand count.
-
-_NO_OPERANDS = frozenset(((0, 0),))
+# the union over its member residues.  The type of a residue tuple depends
+# only on its XOR (on its sum mod 4 for wedges), so one set of those values
+# carries the whole tuple and the sweep stays linear in the operand count.
 
 
-def _step(states: frozenset, members: Sequence[int]) -> frozenset:
-    """Residue states after one more operand with the given member residues."""
-    return frozenset(((s + t) % 4, (c + (t & 1)) % 4) for s, c in states for t in members)
+def _reach(member_sets: Iterable[Iterable[int]], exterior: bool = False) -> frozenset:
+    """XORs (sums mod 4 if exterior) of one residue drawn from each operand.
 
-
-def _residue_states(member_sets: Iterable[Iterable[int]]) -> frozenset:
-    """(Σ residues mod 4, #odd residues mod 4) over all residue tuples drawn from the operands.
-
-    Empty when some operand is zero, which annihilates the expression.
+    {0} for no operands; empty when some operand is zero, which annihilates the expression.
     """
-    states = _NO_OPERANDS
+    reach = frozenset((0,))
     for members in member_sets:
-        states = _step(states, tuple(members))
-    return states
-
-
-def _bracket_types(kind: BracketKind, states) -> QType:
-    """Bracket residue (total + 1 ± (-1)^S) mod 4 of each residue state."""
-    out = set()
-    for total, odd in states:
-        eps = -1 if (odd * (odd - 1) // 2) & 1 else 1
-        out.add((total + 1 + eps) % 4 if kind is COMMUTATOR else (total + 1 - eps) % 4)
-    return QType(out)
-
-
-def _power_types(states, exterior: bool) -> QType:
-    """Type of an m-th power from the residue states of m copies of its base.
-
-    Wedge products add grades, so an exterior power lands on the state
-    totals.  A Clifford power is a palindromic product, hence half its own
-    m-fold anticommutator; the formula gives {0} for m = 0 and the base
-    type for m = 1 as well.
-    """
-    if exterior:
-        return QType(total for total, _ in states)
-    return _bracket_types(ANTICOMMUTATOR, states)
+        members = tuple(members)
+        reach = frozenset((x + t) % 4 if exterior else x ^ t for x in reach for t in members)
+    return reach
 
 
 def infer_kfold_set(kind, member_sets: Sequence[Iterable[int]]) -> QType:
@@ -288,53 +260,53 @@ def infer_kfold_set(kind, member_sets: Sequence[Iterable[int]]) -> QType:
     kind = as_kind(kind)
     if len(member_sets) < 2:
         raise ValueError("k-fold brackets need at least two operands")
-    return _bracket_types(kind, _residue_states(member_sets))
+    flip = 2 if kind is COMMUTATOR else 0
+    return QType(x ^ flip for x in _reach(member_sets))
 
 
 def infer_product_set(member_sets: Sequence[Iterable[int]]) -> QType:
     """Union of infer_product over all residue tuples drawn from the operands."""
     if not member_sets:
         raise ValueError("empty product")
-    out = QType()
-    for parity in {total & 1 for total, _ in _residue_states(member_sets)}:
-        out |= QType((parity, parity + 2))
-    return out
+    return QType(r for x in _reach(member_sets) for r in (x & 1, x & 1 | 2))
 
 
 def infer_ext_product_set(member_sets: Sequence[Iterable[int]]) -> QType:
     """Type of an exterior product: the sums of residues drawn from the operands."""
-    return _power_types(_residue_states(member_sets), exterior=True)
+    return QType(_reach(member_sets, exterior=True))
 
 
 @lru_cache(maxsize=None)
-def _power_states(t: frozenset) -> tuple[tuple[frozenset, ...], int]:
-    """Residue states of m = 0, 1, 2, ... copies of t, and the index where their cycle restarts.
+def _power_reach(t: frozenset, exterior: bool) -> tuple[tuple[frozenset, ...], int]:
+    """Reach sets of m = 0, 1, 2, ... copies of t, and the index where their cycle restarts.
 
-    The list stops before (m mod 2, states) first repeats: at most 6 entries.
+    The m-th entry is the type of an m-th power: a Clifford power is a
+    palindromic product, hence half its own m-fold anticommutator, and an
+    exterior power lands on the sums.  The list stops before its first
+    repeat: at most 4 entries.
     """
-    keys = []
-    states = _NO_OPERANDS
-    while (len(keys) & 1, states) not in keys:
-        keys.append((len(keys) & 1, states))
-        states = _step(states, tuple(t))
-    return tuple(s for _, s in keys), keys.index((len(keys) & 1, states))
+    seq = [frozenset((0,))]
+    while (reach := _reach((seq[-1], t), exterior)) not in seq:
+        seq.append(reach)
+    return tuple(seq), seq.index(reach)
 
 
 def infer_power_set(t: QType, m: int, exterior: bool = False) -> QType:
     """Type of the m-th Clifford (or exterior) power of an element of type t."""
     if m < 0:
         raise ValueError("exponent must be nonnegative")
-    seq, cycle = _power_states(frozenset(t))
+    seq, cycle = _power_reach(frozenset(t), exterior)
     if m >= len(seq):
         m = cycle + (m - cycle) % (len(seq) - cycle)
-    return _power_types(seq[m], exterior)
+    return QType(seq[m])
 
 
 def power_types_by_parity(t: Iterable[int], exterior: bool = False) -> tuple[QType, QType]:
-    """Types reachable by even / odd powers of an element of type t: unions over its power states."""
+    """Types reachable by even / odd powers of an element of type t: unions over its power reach sets."""
+    t = frozenset(t)
     by_parity = (set(), set())
-    for m, states in enumerate(_power_states(frozenset(t))[0]):
-        by_parity[m & 1].update(_power_types(states, exterior))
+    for m in range(2 * len(_power_reach(t, exterior)[0])):  # every entry of the cycle at both parities
+        by_parity[m & 1].update(infer_power_set(t, m, exterior))
     return QType(by_parity[0]), QType(by_parity[1])
 
 
@@ -394,12 +366,11 @@ def pair_musical_table() -> list[tuple[BracketKind, int, MusicalOp]]:
 
 def threefold_fixed_table() -> list[tuple[BracketKind, tuple[int, int], MusicalOp]]:
     """3-fold brackets with two fixed main types: the musical op on the free slot."""
-    rows = []
-    for kind in (ANTICOMMUTATOR, COMMUTATOR):
-        for pair in combinations_with_replacement(range(4), 2):
-            perm = tuple(infer_kfold(kind, (pair[0], pair[1], k)) for k in range(4))
-            rows.append((kind, pair, _PERM_TO_OP[perm]))
-    return rows
+    return [
+        (kind, pair, _BY_MASK[infer_kfold(kind, (*pair, 0))])
+        for kind in (ANTICOMMUTATOR, COMMUTATOR)
+        for pair in combinations_with_replacement(range(4), 2)
+    ]
 
 
 def klein_table() -> list[list[MusicalOp]]:

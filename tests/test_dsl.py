@@ -305,7 +305,7 @@ def test_check_rank_power():
 
 
 def test_power_type_costs_the_same_for_every_exponent():
-    # the residue states of m copies cycle, so a huge exponent reduces into the cycle
+    # the reach sets of m copies cycle, so a huge exponent reduces into the cycle
     for mask in range(16):
         t = QType(r for r in range(4) if mask >> r & 1)
         for exterior in (False, True):

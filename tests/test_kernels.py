@@ -319,6 +319,23 @@ def test_large_wedges_stay_on_the_int64_kernel(monkeypatch):
     _assert_byte_equal(w, _mul_sparse(u._coeffs, v._coeffs, sig.neg_mask, True))
 
 
+@pytest.mark.parametrize("exterior", [False, True])
+@pytest.mark.parametrize("side", [0, 1])
+def test_fraction_coefficients_stay_on_the_sparse_path(side, exterior, monkeypatch):
+    # np.fromiter turns Fraction(1, 2) into the int64 0 without an error, so
+    # one non-integral coefficient must keep a product of 64 · 64 blade pairs,
+    # past both the int64 and the spinor thresholds at n = 6, on the sparse path
+    monkeypatch.setattr(algebra, "product_paths", Counter())
+    sig = Signature(4, 2)
+    rng = random.Random(6 + 2 * side + exterior)
+    ops = [_full(sig, rng)._coeffs, _full(sig, rng)._coeffs]
+    ops[side][rng.randrange(1 << sig.n)] = Fraction(1, 2)
+    u, v = (Multivector(sig, c) for c in ops)
+    w = u ^ v if exterior else u * v
+    assert algebra.product_paths == Counter(sparse=1)
+    _assert_byte_equal(w, _mul_sparse(ops[0], ops[1], sig.neg_mask, exterior))
+
+
 def test_product_paths_count_each_product(monkeypatch):
     monkeypatch.setattr(algebra, "product_paths", Counter())
     sig = Signature(12, 0)

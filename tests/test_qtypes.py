@@ -210,6 +210,25 @@ def test_infer_kfold_matches_pair_and_triple_formulas():
                 assert infer_kfold(ANTICOMMUTATOR, (k, l, m)) == (k + l + m + 1 - eps) % 4
 
 
+def test_infer_kfold_matches_paper_formula_for_every_k():
+    # the paper's (Σa + 1 ∓ (-1)^S) mod 4 with S = Σ_{i<j} a_i a_j, on every
+    # main-type tuple with 2 <= k <= 7: the commutator takes +, the anticommutator -
+    for k in range(2, 8):
+        for types in itertools.product(range(4), repeat=k):
+            eps = (-1) ** sum(a * b for a, b in itertools.combinations(types, 2))
+            assert infer_kfold(COMMUTATOR, types) == (sum(types) + 1 + eps) % 4, types
+            assert infer_kfold(ANTICOMMUTATOR, types) == (sum(types) + 1 - eps) % 4, types
+    # with all operands fixed but one, every bracket of k <= 6 operands acts on
+    # the free slot as a musical operation, as the pair and threefold tables do for k = 2, 3
+    perms = {op.permutation for op in MusicalOp}
+    for k in range(2, 7):
+        for fixed in itertools.product(range(4), repeat=k - 1):
+            for slot in range(k):
+                for kind in (COMMUTATOR, ANTICOMMUTATOR):
+                    perm = tuple(infer_kfold(kind, fixed[:slot] + (t,) + fixed[slot:]) for t in range(4))
+                    assert perm in perms, (kind, fixed, slot)
+
+
 def test_infer_kfold_permutation_invariant():
     rng = random.Random(0)
     for types in itertools.product(range(4), repeat=3):
