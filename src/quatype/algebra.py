@@ -236,7 +236,7 @@ def _mul_coeffs(ca: dict, cb: dict, sig: Signature, exterior: bool, approx: bool
             with np.errstate(over="ignore", invalid="ignore"):
                 return _mul_dense(ca, cb, sig, _accel.product_dense, np.float64, exterior=exterior)
         na = _int_bound(ca)
-        nb = _int_bound(cb) if na is not None else None
+        nb = na if cb is ca or na is None else _int_bound(cb)
         if nb is not None:
             (ma, la), (mb, lb) = na, nb
             d = 1 << ((sig.n + 1) >> 1)  # the spinor matrices are d x d
@@ -314,7 +314,7 @@ class _MultivectorBase:
         return frozenset(blade_grade(b) for b in self._coeffs)
 
     def max_abs(self):
-        return max((abs(v) for v in self._coeffs.values()), default=self._zero)
+        return max(map(abs, self._coeffs.values()), default=self._zero)
 
     def __len__(self) -> int:
         return len(self._coeffs)
@@ -483,15 +483,27 @@ def sample_blades(
     Each group in turn draws one coefficient per blade, in order, uniformly
     from [lo, hi] (zero allowed).  A nonempty group whose draw comes out all
     zero is patched at one random blade, so the result is nonzero on it.
+
+    A coefficient is ``lo + r`` with ``r = rng.getrandbits(k)``, drawn again
+    while ``r`` is not below the width ``hi - lo + 1`` (k is the width's bit
+    length).  That is ``rng.randint(lo, hi)``'s own algorithm on CPython
+    3.10-3.13, inlined: the same values and the same state afterwards.
+    Raises ``ValueError`` when ``lo > hi``.
     """
-    randint = rng.randint
+    width = hi - lo + 1
+    if width <= 0:
+        raise ValueError(f"empty range for a coefficient draw: [{lo}, {hi}]")
+    k = width.bit_length()
+    getrandbits = rng.getrandbits
     coeffs: dict[int, int] = {}
     for blades in blade_groups:
         hit = False
         for b in blades:
-            v = randint(lo, hi)
-            if v:
-                coeffs[b] = v
+            r = getrandbits(k)
+            while r >= width:
+                r = getrandbits(k)
+            if r != -lo:
+                coeffs[b] = lo + r
                 hit = True
         if not hit and blades:
             b = rng.choice(blades)

@@ -617,8 +617,10 @@ def check(e: Expr | str, sig: Signature, trials: int = 100, seed: int = 0) -> Ch
     occurrences share the sample): a rank declaration draws the blades of
     that grade, a type declaration draws its member residues in ascending
     order, and within each the blades go by grade, then by bit order.  Every
-    blade draws an integer coefficient in [-9, 9]; a residue (or rank) whose
-    draw comes out all zero is patched at one random blade.  The trial
+    blade draws an integer coefficient in [-9, 9], ``-9 + getrandbits(5)``
+    with ``getrandbits(5)`` drawn again while it is 19 or more (that is
+    ``Random.randint(-9, 9)`` on CPython 3.10-3.13); a residue (or rank)
+    whose draw comes out all zero is patched at one random blade.  The trial
     evaluates exactly, or in floats when Clifford series are involved, and
     records any containment violation.  A declaration with an empty blade
     group (a rank outside 0..n, a residue above n) raises

@@ -41,7 +41,6 @@ from .algebra import (
     ApproxMultivector,
     Multivector,
     Signature,
-    blade_grade,
     blade_name,
     blades_of_grades,
     sample_blades,
@@ -176,7 +175,7 @@ def musical_compose(a: MusicalOp, b: MusicalOp) -> MusicalOp:
 
 def qtype_of(u: Multivector) -> QType:
     """Residue classes mod 4 on which u has nonzero grades; empty for u = 0."""
-    return QType(blade_grade(b) % 4 for b in u._coeffs)
+    return QType({b.bit_count() & 3 for b in u._coeffs})
 
 
 # relative weight below which a float coefficient counts as cancellation noise
@@ -190,14 +189,12 @@ def qtype_of_approx(u: ApproxMultivector) -> QType:
     counts only if it carries weight above float cancellation noise.  An
     infinite or NaN coefficient raises ``ValueError``: it has no type.
     """
+    coeffs = u._coeffs
+    if not all(map(math.isfinite, coeffs.values())):
+        b, v = next((b, v) for b, v in coeffs.items() if not math.isfinite(v))
+        raise ValueError(f"non-finite coefficient {v} on {blade_name(b)}: the float evaluation overflowed")
     thresh = _APPROX_TOL * max(1.0, u.max_abs())
-    members = set()
-    for b, v in u._coeffs.items():
-        if not math.isfinite(v):
-            raise ValueError(f"non-finite coefficient {v} on {blade_name(b)}: the float evaluation overflowed")
-        if abs(v) > thresh:
-            members.add(blade_grade(b) % 4)
-    return QType(members)
+    return QType({b.bit_count() & 3 for b, v in coeffs.items() if abs(v) > thresh})
 
 
 # ---------------------------------------------------------------------------

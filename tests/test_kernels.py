@@ -1,5 +1,6 @@
 """Cross-checks between the product kernels, the spinor form and the sparse reference path."""
 
+import operator
 import random
 from collections import Counter
 from fractions import Fraction
@@ -306,6 +307,21 @@ def test_spinor_path_is_exact_for_large_coefficients(p, q, monkeypatch):
     assert w.max_abs() > 1 << 23
     _assert_byte_equal(w, _mul_sparse(square._coeffs, square._coeffs, sig.neg_mask, False))
     assert u**4 == w
+
+
+@pytest.mark.parametrize("op, path", [(operator.mul, "spinor"), (operator.xor, "int64")])
+def test_a_square_scans_its_operand_once(op, path, monkeypatch):
+    # u op u reads u's bound once, and routes as u op (an equal copy) does
+    sig = Signature(4, 4)
+    u = _full(sig, random.Random(48))
+    scanned = []
+    int_bound = algebra._int_bound
+    monkeypatch.setattr(algebra, "_int_bound", lambda coeffs: scanned.append(coeffs) or int_bound(coeffs))
+    monkeypatch.setattr(algebra, "product_paths", Counter())
+    square = op(u, u)
+    assert len(scanned) == 1 and algebra.product_paths == Counter({path: 1})
+    assert op(u, Multivector(sig, dict(u._coeffs))) == square
+    assert len(scanned) == 3 and algebra.product_paths == Counter({path: 2})
 
 
 def test_large_wedges_stay_on_the_int64_kernel(monkeypatch):

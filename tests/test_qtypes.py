@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from quatype.algebra import ApproxMultivector, Multivector, Signature, random_multivector
+from quatype.algebra import ApproxMultivector, Multivector, Signature, blades_of_grades, random_multivector
 from quatype.brackets import kfold
 from quatype.qtypes import (
     ANTICOMMUTATOR,
@@ -31,6 +31,7 @@ from quatype.qtypes import (
     threefold_fixed_table,
     triple_table,
 )
+from quatype.qtypes import _declared_blade_groups
 
 I, SHARP, FLAT, NATURAL = MusicalOp.IDENTITY, MusicalOp.SHARP, MusicalOp.FLAT, MusicalOp.NATURAL
 
@@ -80,10 +81,11 @@ def test_qtype_of_approx_threshold():
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_qtype_of_approx_rejects_non_finite(bad):
     # an overflowed float evaluation has no type; dropping the coefficient
-    # would report a vacuous bottom type
-    u = ApproxMultivector(Signature(3, 0), {0: 1.0, 0b011: bad})
-    with pytest.raises(ValueError, match="non-finite coefficient .* on e12"):
+    # would report a vacuous bottom type; the error names the first such blade
+    u = ApproxMultivector(Signature(3, 0), {0: 1.0, 0b011: bad, 0b101: math.nan})
+    with pytest.raises(ValueError) as err:
         qtype_of_approx(u)
+    assert str(err.value) == f"non-finite coefficient {bad} on e12: the float evaluation overflowed"
 
 
 # ---------------------------------------------------------------------------
@@ -433,3 +435,60 @@ def test_random_of_type_deterministic_per_seed():
 def test_sampler_draws_are_pinned(draw, terms):
     # check's reproducer seeds depend on this exact order of random draws
     assert draw().terms() == terms
+
+
+def _randint_draw(rng, blade_groups, lo, hi):
+    """The sampler's draw loop as written with ``Random.randint``: the oracle of the inlined draw."""
+    coeffs = {}
+    for blades in blade_groups:
+        hit = False
+        for b in blades:
+            v = rng.randint(lo, hi)
+            if v:
+                coeffs[b] = v
+                hit = True
+        if not hit and blades:
+            b = rng.choice(blades)
+            coeffs[b] = rng.randint(1, max(hi, 1)) * rng.choice((-1, 1))
+    return coeffs
+
+
+_CL31_ALL = (blades_of_grades(4, (0, 1, 2, 3, 4)),)
+_CL12_ALL = (blades_of_grades(12, tuple(range(13))),)
+
+
+@pytest.mark.parametrize(
+    "draw, groups, lo, hi",
+    [
+        (lambda rng: random_multivector(Signature(3, 1), rng), _CL31_ALL, -9, 9),
+        (lambda rng: random_multivector(Signature(3, 1), rng, lo=1, hi=5), _CL31_ALL, 1, 5),
+        # every draw is zero, so the group is always patched
+        (lambda rng: random_multivector(Signature(3, 1), rng, lo=0, hi=0), _CL31_ALL, 0, 0),
+        (lambda rng: random_multivector(Signature(12, 0), rng), _CL12_ALL, -9, 9),
+        (
+            lambda rng: random_of_type(Signature(4, 2), rng, QType({0, 2, 3})),
+            _declared_blade_groups(Signature(4, 2), QType({0, 2, 3})),
+            -9,
+            9,
+        ),
+        # residue 0 of Cl(1,0) is the one blade e, patched whenever it draws zero
+        (
+            lambda rng: random_of_type(Signature(1, 0), rng, QType({0, 1})),
+            _declared_blade_groups(Signature(1, 0), QType({0, 1})),
+            -9,
+            9,
+        ),
+    ],
+    ids=["range-9..9", "range1..5", "range0..0-patched", "Cl(12,0)", "type-3-groups", "type-patched"],
+)
+def test_sampler_draws_as_randint(draw, groups, lo, hi):
+    # the same terms and the same generator state afterwards as randint
+    for seed in range(500):
+        rng, oracle = random.Random(seed), random.Random(seed)
+        assert draw(rng)._coeffs == _randint_draw(oracle, groups, lo, hi), seed
+        assert rng.getstate() == oracle.getstate(), seed
+
+
+def test_sampler_rejects_an_empty_range():
+    with pytest.raises(ValueError, match="empty range"):
+        random_multivector(Signature(2, 0), random.Random(0), lo=1, hi=0)
