@@ -162,8 +162,8 @@ def from_spinor(m, neg_mask, n):
 def product_spinor(ia, va, ib, vb, neg_mask, n):
     """The geometric product as one spinor matrix product: a length-2^n int64 coefficient array.
 
-    ``ia``/``ib`` are int64 blade arrays and ``va``/``vb`` integral float64
-    values.  Exact when the caller has bounded 2 d ‖va‖₁ ‖vb‖₁ below 2^53:
+    ``ia``/``ib`` are int64 blade arrays and ``va``/``vb`` int64 or
+    integral float64 values.  Exact when the caller has bounded 2 d ‖va‖₁ ‖vb‖₁ below 2^53:
     a row of the first spinor matrix sums to at most ‖va‖₁ in |Re| + |Im|
     and an entry of the second to at most ‖vb‖₁, so every partial sum of
     the matrix product stays within ‖va‖₁ ‖vb‖₁ and of a trace within d

@@ -620,7 +620,10 @@ def check(e: Expr | str, sig: Signature, trials: int = 100, seed: int = 0) -> Ch
     blade draws an integer coefficient in [-9, 9], ``-9 + getrandbits(5)``
     with ``getrandbits(5)`` drawn again while it is 19 or more (that is
     ``Random.randint(-9, 9)`` on CPython 3.10-3.13); a residue (or rank)
-    whose draw comes out all zero is patched at one random blade.  The trial
+    whose draw comes out all zero is patched at one random blade.  A
+    sample of 256 blades or more takes its 32-bit words in chunks of one
+    ``getrandbits`` call, with the same values and the same generator
+    state afterwards as the per-blade draw.  The trial
     evaluates exactly, or in floats when Clifford series are involved, and
     records any containment violation.  A declaration with an empty blade
     group (a rank outside 0..n, a residue above n) raises

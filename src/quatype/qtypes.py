@@ -37,6 +37,8 @@ from itertools import combinations_with_replacement
 from random import Random
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .algebra import (
     ApproxMultivector,
     Multivector,
@@ -175,6 +177,8 @@ def musical_compose(a: MusicalOp, b: MusicalOp) -> MusicalOp:
 
 def qtype_of(u: Multivector) -> QType:
     """Residue classes mod 4 on which u has nonzero grades; empty for u = 0."""
+    if u._coeffs is None:
+        return QType(np.flatnonzero(np.bincount(np.bitwise_count(u._arr[0]) & 3)).tolist())
     return QType({b.bit_count() & 3 for b in u._coeffs})
 
 

@@ -1,4 +1,5 @@
 import json
+import operator
 import random
 from fractions import Fraction
 
@@ -31,6 +32,7 @@ from quatype.algebra import (
     to_json,
     to_obj,
 )
+from quatype.qtypes import qtype_of
 
 CL20 = Signature(2, 0)
 CL11 = Signature(1, 1)
@@ -426,3 +428,74 @@ def test_random_multivector_respects_grades():
         assert u.grades() <= {2}
         assert u  # an all-zero draw is patched
         assert all(-9 <= c <= 9 for _, c in u.terms())
+
+
+# ---------------------------------------------------------------------------
+# array-born values
+
+
+def _array_born(sig, rng, how):
+    """A large sample, or a dense geometric or exterior product of two dict-born values."""
+    if how == "sample" and 1 << sig.n >= algebra._CHUNKED_DRAW_MIN_BLADES:
+        return random_multivector(sig, rng)
+    a, b = (
+        Multivector(sig, {x: rng.choice((-1, 1)) * rng.randint(1, 9) for x in rng.sample(range(1 << sig.n), rng.randint(8, 48))})
+        for _ in range(2)
+    )
+    return a ^ b if how == "wedge" else a * b
+
+
+def _fresh(u):
+    """An array-born copy of u that has not built its dict yet."""
+    return algebra._from_arrays(u.sig, *u._arr[:2])
+
+
+def _assert_same_value(got, want):
+    assert got == want and want == got
+    assert got.terms() == want.terms() and str(got) == str(want) and to_obj(got) == to_obj(want)
+    assert all(type(v) is int for v in got._dict().values())
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([6, 8, 11, 12]),
+    st.integers(0, 12),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["sample", "product", "wedge"]),
+    st.sampled_from(["sample", "product", "wedge"]),
+)
+def test_array_born_values_agree_with_dict_born(n, p, seed, how_u, how_v):
+    sig = Signature(min(p, n), n - min(p, n))
+    rng = random.Random(seed)
+    u, v = _array_born(sig, rng, how_u), _array_born(sig, rng, how_v)
+    assert u._coeffs is None and v._coeffs is None
+    U, V = (Multivector(sig, dict(x.terms())) for x in (_fresh(u), _fresh(v)))
+    for op in (operator.mul, operator.xor, operator.add, operator.sub):
+        _assert_same_value(op(_fresh(u), _fresh(v)), op(U, V))
+    _assert_same_value(-_fresh(u), -U)
+    # a sum lists u's blades in order, then v's new ones, as the dict sum does
+    ordered = Multivector(sig, _fresh(u)._dict()) + Multivector(sig, _fresh(v)._dict())
+    assert list((_fresh(u) + _fresh(v))._dict().items()) == list(ordered._dict().items())
+    for x, X in ((u, U), (v, V)):
+        _assert_same_value(_fresh(x), X)
+        assert _fresh(x).grades() == X.grades() and qtype_of(_fresh(x)) == qtype_of(X)
+        assert len(_fresh(x)) == len(X) and bool(_fresh(x)) == bool(X)
+        m = _fresh(x).max_abs()
+        assert m == X.max_abs() and type(m) is int
+        blades = [b for b, _ in X.terms()[:4]] + [rng.randrange(1 << n) for _ in range(4)]
+        y = _fresh(x)
+        assert [y.coefficient(b) for b in blades] == [X.coefficient(b) for b in blades]
+    zero = _fresh(u) - _fresh(u)
+    assert zero._coeffs is None and not zero and len(zero) == 0 and zero.max_abs() == 0
+    assert str(zero) == "0" and qtype_of(zero) == qtype_of(Multivector.zero(sig)) and zero == Multivector.zero(sig)
+
+
+def test_array_born_sums_past_the_int64_bound_stay_exact():
+    # a sum of array-born values whose max |v| add up to 2^62 or more leaves the arrays
+    sig = Signature(8, 0)
+    big = 3 << 60
+    u = random_multivector(sig, random.Random(0), lo=big, hi=big)
+    assert u._coeffs is None and u.max_abs() == big
+    twice, four = u + u, u + u + u + u
+    assert twice._coeffs is not None and twice == Multivector(sig, {b: 2 * big for b in range(256)})
+    assert four - u == Multivector(sig, {b: 3 * big for b in range(256)}) and (-four).max_abs() == 4 * big

@@ -26,19 +26,19 @@ def test_dense_matches_sparse_int(exterior):
         for _ in range(25):
             u = random_multivector(sig, rng)
             v = random_multivector(sig, rng)
-            ia, va = _arrays(u._coeffs, np.int64)
-            ib, vb = _arrays(v._coeffs, np.int64)
+            ia, va = _arrays(u._dict(), np.int64)
+            ib, vb = _arrays(v._dict(), np.int64)
             out = _accel.product_dense(ia, va, ib, vb, sig.neg_mask, sig.n, exterior=exterior)
             dense = {int(k): int(out[k]) for k in np.flatnonzero(out)}
-            assert dense == _mul_sparse(u._coeffs, v._coeffs, sig.neg_mask, exterior)
+            assert dense == _mul_sparse(u._dict(), v._dict(), sig.neg_mask, exterior)
 
 
 def test_dense_matches_sparse_float():
     rng = random.Random(7)
     sig = Signature(3, 1)
     for _ in range(20):
-        u = {b: float(c) for b, c in random_multivector(sig, rng)._coeffs.items()}
-        v = {b: float(c) for b, c in random_multivector(sig, rng)._coeffs.items()}
+        u = {b: float(c) for b, c in random_multivector(sig, rng)._dict().items()}
+        v = {b: float(c) for b, c in random_multivector(sig, rng)._dict().items()}
         ia, va = _arrays(u, np.float64)
         ib, vb = _arrays(v, np.float64)
         out = _accel.product_dense(ia, va, ib, vb, sig.neg_mask, sig.n)
@@ -101,7 +101,7 @@ def test_products_identical_across_backends(forced, monkeypatch):
     monkeypatch.setattr(algebra, "_DENSE_MIN_PAIRS", threshold)
     for u, v in pairs:
         for exterior, product in ((False, u * v), (True, u ^ v)):
-            reference = _mul_sparse(u._coeffs, v._coeffs, sig.neg_mask, exterior)
+            reference = _mul_sparse(u._dict(), v._dict(), sig.neg_mask, exterior)
             assert product == Multivector(sig, reference)
 
 
@@ -115,7 +115,7 @@ def test_large_coefficients_fall_back_to_exact():
     w = u * v
     e1 = Multivector.generator(sig, 1)
     assert (big * e1) * (big * e1) == Multivector.scalar(sig, big * big)
-    assert w == Multivector(sig, _mul_sparse(u._coeffs, v._coeffs, sig.neg_mask, False))
+    assert w == Multivector(sig, _mul_sparse(u._dict(), v._dict(), sig.neg_mask, False))
     assert max(abs(c) for _, c in w.terms()) >= big * big
 
 
@@ -136,7 +136,7 @@ def test_integral_fraction_sums_reach_the_int64_kernel(monkeypatch):
     half = u * Fraction(1, 2)
     whole = half + half
     assert whole == u and len(whole) * len(u) >= algebra._DENSE_MIN_PAIRS
-    assert whole * u == Multivector(sig, _mul_sparse(u._coeffs, u._coeffs, sig.neg_mask, False))
+    assert whole * u == Multivector(sig, _mul_sparse(u._dict(), u._dict(), sig.neg_mask, False))
     assert dtypes == [np.dtype(np.int64)]
 
 
@@ -158,7 +158,7 @@ def test_spinor_matrices_multiply_like_blades():
 def test_spinor_round_trip_is_exact(p, q):
     sig = Signature(p, q)
     u = random_multivector(sig, random.Random(p * 13 + q))
-    ib, vb = _arrays(u._coeffs, np.float64)
+    ib, vb = _arrays(u._dict(), np.float64)
     m = _accel.to_spinor(ib, vb, sig.neg_mask, sig.n)
     back = _accel.from_spinor(m, sig.neg_mask, sig.n)
     want = np.zeros(1 << sig.n)
@@ -234,7 +234,7 @@ def _full(sig, rng, lo=1, hi=9):
 
 def _assert_byte_equal(w, reference):
     # the same coefficients, each of the same type
-    assert sorted((b, type(v), v) for b, v in w._coeffs.items()) == sorted((b, type(v), v) for b, v in reference.items())
+    assert sorted((b, type(v), v) for b, v in w._dict().items()) == sorted((b, type(v), v) for b, v in reference.items())
 
 
 def test_residue_path_matches_blade_products_exhaustively(monkeypatch):
@@ -265,7 +265,7 @@ def test_residue_products_byte_equal_sparse(p, q, monkeypatch):
     u, v = _full(sig, rng), _full(sig, rng)
     w = u * v
     assert algebra.product_paths == Counter(spinor=1)
-    _assert_byte_equal(w, _mul_sparse(u._coeffs, v._coeffs, sig.neg_mask, False))
+    _assert_byte_equal(w, _mul_sparse(u._dict(), v._dict(), sig.neg_mask, False))
 
 
 @pytest.mark.parametrize("over, path", [(0, "spinor"), (1, "int64")])
@@ -305,23 +305,43 @@ def test_spinor_path_is_exact_for_large_coefficients(p, q, monkeypatch):
     w = square * square
     assert algebra.product_paths == Counter(spinor=1)
     assert w.max_abs() > 1 << 23
-    _assert_byte_equal(w, _mul_sparse(square._coeffs, square._coeffs, sig.neg_mask, False))
+    _assert_byte_equal(w, _mul_sparse(square._dict(), square._dict(), sig.neg_mask, False))
     assert u**4 == w
 
 
 @pytest.mark.parametrize("op, path", [(operator.mul, "spinor"), (operator.xor, "int64")])
-def test_a_square_scans_its_operand_once(op, path, monkeypatch):
-    # u op u reads u's bound once, and routes as u op (an equal copy) does
+def test_a_value_converts_to_arrays_at_most_once(op, path, monkeypatch):
+    # u op u converts u once, later products reuse its arrays, and an equal
+    # dict-born copy converts once in turn and routes as u does
     sig = Signature(4, 4)
     u = _full(sig, random.Random(48))
-    scanned = []
-    int_bound = algebra._int_bound
-    monkeypatch.setattr(algebra, "_int_bound", lambda coeffs: scanned.append(coeffs) or int_bound(coeffs))
+    converted = []
+    dict_arrays = algebra._dict_arrays
+    monkeypatch.setattr(algebra, "_dict_arrays", lambda coeffs: converted.append(coeffs) or dict_arrays(coeffs))
     monkeypatch.setattr(algebra, "product_paths", Counter())
     square = op(u, u)
-    assert len(scanned) == 1 and algebra.product_paths == Counter({path: 1})
-    assert op(u, Multivector(sig, dict(u._coeffs))) == square
-    assert len(scanned) == 3 and algebra.product_paths == Counter({path: 2})
+    assert len(converted) == 1 and algebra.product_paths == Counter({path: 1})
+    assert op(u, u) == square and len(converted) == 1
+    assert op(u, Multivector(sig, u._dict())) == square
+    assert len(converted) == 2 and algebra.product_paths == Counter({path: 3})
+
+
+def test_products_of_dense_results_convert_nothing(monkeypatch):
+    # dense products return array-born values, which the next product, sum
+    # or negation reads as they are
+    sig = Signature(4, 4)
+    rng = random.Random(49)
+    u, v = _full(sig, rng), _full(sig, rng)
+    a, b = u * v, u ^ v
+    assert a._coeffs is None and b._coeffs is None
+    monkeypatch.setattr(algebra, "_dict_arrays", lambda coeffs: pytest.fail("converted a dict"))
+    monkeypatch.setattr(algebra, "product_paths", Counter())
+    results = [a * b, a ^ b, (a + b) * a, (-a) ^ b, (a - b) * b]
+    assert algebra.product_paths == Counter(spinor=3, int64=2)
+    assert all(w._coeffs is None for w in results)
+    monkeypatch.undo()
+    a, b = (Multivector(sig, w._dict()) for w in (a, b))
+    assert results == [a * b, a ^ b, (a + b) * a, (-a) ^ b, (a - b) * b]
 
 
 def test_large_wedges_stay_on_the_int64_kernel(monkeypatch):
@@ -332,7 +352,7 @@ def test_large_wedges_stay_on_the_int64_kernel(monkeypatch):
     u, v = _full(sig, rng), _full(sig, rng)
     w = u ^ v
     assert algebra.product_paths == Counter(int64=1)
-    _assert_byte_equal(w, _mul_sparse(u._coeffs, v._coeffs, sig.neg_mask, True))
+    _assert_byte_equal(w, _mul_sparse(u._dict(), v._dict(), sig.neg_mask, True))
 
 
 @pytest.mark.parametrize("exterior", [False, True])
@@ -344,7 +364,7 @@ def test_fraction_coefficients_stay_on_the_sparse_path(side, exterior, monkeypat
     monkeypatch.setattr(algebra, "product_paths", Counter())
     sig = Signature(4, 2)
     rng = random.Random(6 + 2 * side + exterior)
-    ops = [_full(sig, rng)._coeffs, _full(sig, rng)._coeffs]
+    ops = [_full(sig, rng)._dict(), _full(sig, rng)._dict()]
     ops[side][rng.randrange(1 << sig.n)] = Fraction(1, 2)
     u, v = (Multivector(sig, c) for c in ops)
     w = u ^ v if exterior else u * v
@@ -365,3 +385,48 @@ def test_product_paths_count_each_product(monkeypatch):
     Multivector.generator(sig, 1) * vectors[0]
     ApproxMultivector.from_exact(vectors[0]) * ApproxMultivector.from_exact(vectors[1])
     assert algebra.product_paths == Counter(spinor=1, int64=2, sparse=1, float64=1)
+
+
+def test_product_pairs_count_blade_pairs_per_route(monkeypatch):
+    monkeypatch.setattr(algebra, "product_paths", Counter())
+    monkeypatch.setattr(algebra, "product_pairs", Counter())
+    sig = Signature(4, 4)
+    rng = random.Random(50)
+    u, v = _full(sig, rng), _full(sig, rng)
+    u * v
+    u ^ v
+    Multivector.generator(sig, 1) * Multivector.generator(sig, 2)
+    ApproxMultivector.from_exact(u) * ApproxMultivector.from_exact(v)
+    # an empty product runs on no path
+    u * Multivector.zero(sig)
+    assert algebra.product_paths == Counter(spinor=1, int64=1, sparse=1, float64=1)
+    assert algebra.product_pairs == Counter(spinor=256 * 256, int64=256 * 256, sparse=1, float64=256 * 256)
+
+
+@pytest.mark.parametrize("exterior", [False, True])
+@pytest.mark.parametrize("big", [1 << 62, (1 << 63) - 1, -(1 << 63), 1 << 63, Fraction(1, 2)])
+def test_values_past_the_int64_bound_stay_on_the_sparse_path(big, exterior, monkeypatch):
+    # 64 · 64 blade pairs pass both dense thresholds at n = 6, but one
+    # coefficient at or past 2^62 (or not an int) keeps the product sparse
+    monkeypatch.setattr(algebra, "product_paths", Counter())
+    sig = Signature(4, 2)
+    rng = random.Random(7 + exterior)
+    ops = [_full(sig, rng)._dict(), _full(sig, rng)._dict()]
+    ops[0][rng.randrange(1 << sig.n)] = big
+    u, v = (Multivector(sig, c) for c in ops)
+    w = u ^ v if exterior else u * v
+    assert algebra.product_paths == Counter(sparse=1)
+    _assert_byte_equal(w, _mul_sparse(ops[0], ops[1], sig.neg_mask, exterior))
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[1 << 61] * 64, [-(1 << 63)] + [1] * 63, [(1 << 63) - 1] * 64, [-(1 << 63)] * 64],
+    ids=["sum-past-int64", "min-int64", "max-int64", "all-min-int64"],
+)
+def test_int64_bounds_are_exact(values):
+    # Σ |v| past int64, and |-2^63|, which int64 cannot hold, come out exact
+    u = Multivector(Signature(6, 0), dict(enumerate(values)))
+    _, _, m, total = u._int64()
+    assert (type(m), type(total)) == (int, int)
+    assert (m, total) == (max(map(abs, values)), sum(map(abs, values)))

@@ -455,21 +455,23 @@ def _randint_draw(rng, blade_groups, lo, hi):
 
 _CL31_ALL = (blades_of_grades(4, (0, 1, 2, 3, 4)),)
 _CL12_ALL = (blades_of_grades(12, tuple(range(13))),)
+_CL12 = Signature(12, 0)
 
 
 @pytest.mark.parametrize(
-    "draw, groups, lo, hi",
+    "draw, groups, lo, hi, chunked",
     [
-        (lambda rng: random_multivector(Signature(3, 1), rng), _CL31_ALL, -9, 9),
-        (lambda rng: random_multivector(Signature(3, 1), rng, lo=1, hi=5), _CL31_ALL, 1, 5),
+        (lambda rng: random_multivector(Signature(3, 1), rng), _CL31_ALL, -9, 9, False),
+        (lambda rng: random_multivector(Signature(3, 1), rng, lo=1, hi=5), _CL31_ALL, 1, 5, False),
         # every draw is zero, so the group is always patched
-        (lambda rng: random_multivector(Signature(3, 1), rng, lo=0, hi=0), _CL31_ALL, 0, 0),
-        (lambda rng: random_multivector(Signature(12, 0), rng), _CL12_ALL, -9, 9),
+        (lambda rng: random_multivector(Signature(3, 1), rng, lo=0, hi=0), _CL31_ALL, 0, 0, False),
+        (lambda rng: random_multivector(_CL12, rng), _CL12_ALL, -9, 9, True),
         (
             lambda rng: random_of_type(Signature(4, 2), rng, QType({0, 2, 3})),
             _declared_blade_groups(Signature(4, 2), QType({0, 2, 3})),
             -9,
             9,
+            False,
         ),
         # residue 0 of Cl(1,0) is the one blade e, patched whenever it draws zero
         (
@@ -477,16 +479,54 @@ _CL12_ALL = (blades_of_grades(12, tuple(range(13))),)
             _declared_blade_groups(Signature(1, 0), QType({0, 1})),
             -9,
             9,
+            False,
         ),
+        (
+            lambda rng: random_of_type(_CL12, rng, QType({0, 1, 2, 3})),
+            _declared_blade_groups(_CL12, QType({0, 1, 2, 3})),
+            -9,
+            9,
+            True,
+        ),
+        (lambda rng: random_multivector(_CL12, rng, lo=0, hi=0), _CL12_ALL, 0, 0, True),
+        # a word of more than 32 bits is not one Mersenne Twister output
+        (lambda rng: random_multivector(_CL12, rng, lo=-(1 << 32), hi=1 << 32), _CL12_ALL, -(1 << 32), 1 << 32, False),
     ],
-    ids=["range-9..9", "range1..5", "range0..0-patched", "Cl(12,0)", "type-3-groups", "type-patched"],
+    ids=[
+        "range-9..9",
+        "range1..5",
+        "range0..0-patched",
+        "Cl(12,0)",
+        "type-3-groups",
+        "type-patched",
+        "Cl(12,0)-type-4-groups",
+        "Cl(12,0)-range0..0-patched",
+        "Cl(12,0)-range-past-32-bits",
+    ],
 )
-def test_sampler_draws_as_randint(draw, groups, lo, hi):
-    # the same terms and the same generator state afterwards as randint
+def test_sampler_draws_as_randint(draw, groups, lo, hi, chunked):
+    # the same terms in the same order, and the same generator state
+    # afterwards, as randint; large draws with at most 32-bit words are chunked
     for seed in range(500):
         rng, oracle = random.Random(seed), random.Random(seed)
-        assert draw(rng)._coeffs == _randint_draw(oracle, groups, lo, hi), seed
+        u = draw(rng)
+        assert (u._coeffs is None) == chunked
+        assert list(u._dict().items()) == list(_randint_draw(oracle, groups, lo, hi).items()), seed
         assert rng.getstate() == oracle.getstate(), seed
+
+
+@pytest.mark.parametrize("m", [1, 2, 37, 4096])
+def test_getrandbits_concatenates_32_bit_words(m):
+    # the chunked draw rests on two CPython facts: getrandbits(32 m) is m
+    # getrandbits(32) words, least significant first, and getrandbits(k)
+    # for k <= 32 is one word shifted right by 32 - k
+    for seed in range(20):
+        rng, words = random.Random(seed), random.Random(seed)
+        assert rng.getrandbits(32 * m) == sum(words.getrandbits(32) << (32 * i) for i in range(m))
+        assert rng.getstate() == words.getstate()
+        for k in (1, 5, 31, 32):
+            assert rng.getrandbits(k) == words.getrandbits(32) >> (32 - k)
+        assert rng.getstate() == words.getstate()
 
 
 def test_sampler_rejects_an_empty_range():
