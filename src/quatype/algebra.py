@@ -26,16 +26,20 @@ the same results, the same ``terms()`` and the same iteration order.
 
 Products of at least ``_DENSE_MIN_PAIRS`` blade pairs leave the sparse
 path for :mod:`quatype._accel`.  Approximate operands take the float64
-blade-pair kernel.  Integer operands take one of two exact paths: a
-geometric product of at least ``_SPINOR_MIN_PAIRS_PER_BLADE`` pairs per
-blade of the algebra with 2 d ‖u‖₁ ‖v‖₁ < 2^53, d the spinor dimension,
-runs as one complex128 spinor matrix product, exact in floats; any other
-product whose bound B = max|u| · max|v| · min(len(u), len(v)) is
-int64-safe runs on the int64 blade-pair kernel.  The sparse path is the
-reference implementation and the only one that handles Fraction
-coefficients and integers past int64.  ``product_paths`` counts the
+blade-pair kernel.  An integer geometric product of at least
+``_SPINOR_MIN_PAIRS_PER_BLADE`` pairs per blade of the algebra runs on
+spinor matrices, whatever the size of its coefficients: while
+2 d ‖u‖₁ ‖v‖₁ < 2^53, d the spinor dimension, as one complex128 matrix
+product, exact in floats; past that, as the same product mod a few primes,
+rebuilt by the Chinese remainder theorem, which returns Python ints once
+‖u‖₁ ‖v‖₁ reaches 2^62.  Any other integer product whose bound
+B = max|u| · max|v| · min(len(u), len(v)) is int64-safe runs on the int64
+blade-pair kernel.  The sparse path is the reference implementation; it
+runs small products, products with Fraction coefficients, and the wedges
+and smaller geometric products past int64.  ``product_paths`` counts the
 products each path ran and ``product_pairs`` the blade pairs they
-multiplied, both keyed ``sparse``, ``int64``, ``float64`` and ``spinor``.
+multiplied, both keyed ``sparse``, ``int64``, ``float64``, ``spinor`` and
+``residue``.
 """
 
 from __future__ import annotations
@@ -64,9 +68,9 @@ _DENSE_MIN_PAIRS = 64
 # any product whose coefficient bound stays under this is int64-safe
 _INT64_SAFE_BOUND = 1 << 62
 # below about this many blade pairs per blade of the algebra the int64 kernel
-# beats the spinor path: the measured crossover is about 32 to 48 at n = 6
-# and 7, about 16 at n = 8 and 9, and 8 to 32 at n = 10 to 12
-_SPINOR_MIN_PAIRS_PER_BLADE = 64
+# beats the spinor path: the measured crossover is 16 to 32 at n = 6, about
+# 16 at n = 7, and 16 or below from n = 8 on (README, Product kernel)
+_SPINOR_MIN_PAIRS_PER_BLADE = 32
 # the spinor path is exact while 2 d ‖u‖₁ ‖v‖₁ stays below this
 _SPINOR_EXACT_BOUND = 1 << 53
 # a sampled draw of at least this many blades takes its random words in
@@ -214,7 +218,7 @@ def _blade_arrays(coeffs: dict, dtype) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _dense_coeffs(out: np.ndarray) -> dict:
-    """The nonzero entries of a dense length-2^n float coefficient array, as a coefficient dict."""
+    """The nonzero entries of a dense length-2^n float or object coefficient array, as a coefficient dict."""
     nz = np.flatnonzero(out)
     return dict(zip(nz.tolist(), out[nz].tolist()))
 
@@ -244,6 +248,20 @@ def _from_arrays(sig: Signature, blades: np.ndarray, values: np.ndarray) -> "Mul
     return u
 
 
+def _exact_operand(u, arr) -> tuple | None:
+    """(blades, values, Σ |v|) of an integer operand whose ``_arr`` slot is ``arr``; ``None`` if it holds a Fraction.
+
+    The values are int64, or an object array of Python ints when some value is past int64.
+    """
+    if arr:
+        return arr[0], arr[1], arr[3]
+    c = u._coeffs
+    values = list(c.values())
+    if any(type(x) is not int for x in values):
+        return None
+    return np.fromiter(c, np.int64, len(c)), np.array(values, dtype=object), sum(map(abs, values))
+
+
 def _from_dense(sig: Signature, out: np.ndarray) -> "Multivector":
     """The nonzero entries of a dense length-2^n int64 coefficient array, as an array-born value."""
     nz = np.flatnonzero(out)
@@ -270,13 +288,21 @@ def _product(u, v, exterior: bool):
             return u._make(sig, _dense_coeffs(out))
         a = u._int64()
         b = a and v._int64()
-        if b:
-            (ia, va, ma, sa), (ib, vb, mb, sb) = a, b
+        if not exterior and pairs >= _SPINOR_MIN_PAIRS_PER_BLADE << sig.n:
             d = 1 << ((sig.n + 1) >> 1)  # the spinor matrices are d x d
-            if not exterior and pairs >= _SPINOR_MIN_PAIRS_PER_BLADE << sig.n and 2 * d * sa * sb < _SPINOR_EXACT_BOUND:
+            if b and 2 * d * a[3] * b[3] < _SPINOR_EXACT_BOUND:
                 product_paths["spinor"] += 1
                 product_pairs["spinor"] += pairs
-                return _from_dense(sig, _accel.product_spinor(ia, va, ib, vb, sig.neg_mask, sig.n))
+                return _from_dense(sig, _accel.product_spinor(a[0], a[1], b[0], b[1], sig.neg_mask, sig.n))
+            x = _exact_operand(u, a)
+            y = x and _exact_operand(v, v._int64())
+            if y and x[2] * y[2] < _accel.RESIDUE_LIMIT:
+                product_paths["residue"] += 1
+                product_pairs["residue"] += pairs
+                out = _accel.product_residue(x[0], x[1], y[0], y[1], sig.neg_mask, sig.n, x[2] * y[2])
+                return _from_dense(sig, out) if out.dtype == np.int64 else u._make(sig, _dense_coeffs(out))
+        elif b:
+            (ia, va, ma, _), (ib, vb, mb, _) = a, b
             if ma * mb * min(len(ia), len(ib)) < _INT64_SAFE_BOUND:
                 product_paths["int64"] += 1
                 product_pairs["int64"] += pairs
@@ -403,7 +429,7 @@ class _MultivectorBase:
     def __eq__(self, other) -> bool:
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self.sig == other.sig and self._dict() == other._dict()
+        return (self.sig is other.sig or self.sig == other.sig) and self._dict() == other._dict()
 
     __hash__ = None
 
@@ -416,7 +442,8 @@ class _MultivectorBase:
     # -- arithmetic --------------------------------------------------------
 
     def _require_same_sig(self, other) -> None:
-        if self.sig != other.sig:
+        # the identity test skips the dataclass __eq__ for operands of one Signature object
+        if self.sig is not other.sig and self.sig != other.sig:
             raise SignatureMismatchError(f"cannot combine {self.sig} with {other.sig}")
 
     def __add__(self, other):

@@ -179,6 +179,26 @@ def test_geo_mul_signature_mismatch():
         ext_mul(Multivector.scalar(CL20, 1), Multivector.scalar(Signature(2, 1), 1))
 
 
+def test_equal_signature_objects_combine():
+    # one Signature object is compared by identity; an equal but distinct
+    # object still takes the dataclass comparison and combines
+    twin = Signature(2, 1)
+    assert twin is not CL21 and twin == CL21
+    u, v = Multivector.generator(CL21, 1), Multivector.generator(twin, 3)
+    assert u * v == Multivector.blade(CL21, [1, 3])
+    assert (u ^ v) == Multivector.blade(twin, [1, 3])
+    assert u + v == Multivector(twin, {0b001: 1, 0b100: 1})
+    assert u - Multivector.generator(twin, 1) == Multivector.zero(CL21)
+
+
+def test_mismatched_signatures_raise_for_every_operation():
+    u, v = Multivector.generator(CL21, 1), Multivector.generator(Signature(1, 2), 1)
+    for op in (operator.mul, operator.xor, operator.add, operator.sub):
+        with pytest.raises(SignatureMismatchError):
+            op(u, v)
+    assert u != v
+
+
 def test_identity_element():
     rng = random.Random(3)
     one = Multivector.scalar(CL21, 1)

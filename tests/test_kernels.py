@@ -107,7 +107,7 @@ def test_products_identical_across_backends(forced, monkeypatch):
 
 def test_large_coefficients_fall_back_to_exact():
     # products whose bound exceeds the int64 safety margin must avoid the
-    # dense path and still come out exact
+    # int64 kernel and still come out exact
     sig = Signature(6, 0)
     big = 1 << 40
     u = Multivector(sig, {b: big for b in range(1, 64)})
@@ -268,12 +268,13 @@ def test_residue_products_byte_equal_sparse(p, q, monkeypatch):
     _assert_byte_equal(w, _mul_sparse(u._dict(), v._dict(), sig.neg_mask, False))
 
 
-@pytest.mark.parametrize("over, path", [(0, "spinor"), (1, "int64")])
+@pytest.mark.parametrize("over, path", [(0, "spinor"), (1, "residue")])
 @pytest.mark.parametrize("p, q", [(12, 0), (6, 6), (0, 12)])
 def test_spinor_gate_is_tight(p, q, over, path, monkeypatch):
     # u = A + 63 unit blades against v = C + 4095 unit blades is 64 · 4096
-    # pairs, the threshold at n = 12, with d = 64.  ‖u‖₁ = 2^27 and
-    # ‖v‖₁ = 2^19 - 1 + over put 2 d ‖u‖₁ ‖v‖₁ just under 2^53, or at it.
+    # pairs, past the threshold at n = 12, with d = 64.  ‖u‖₁ = 2^27 and
+    # ‖v‖₁ = 2^19 - 1 + over put 2 d ‖u‖₁ ‖v‖₁ just under 2^53, or at it,
+    # where the product leaves the unreduced spinor path for the residue one.
     # The signs make every u_b v_b e_b e_b positive, so the scalar
     # coefficient is A C + 63 and its trace, 64 times that, is about 2^52.
     # A needs 27 bits, more than a float32 holds
@@ -385,6 +386,8 @@ def test_product_paths_count_each_product(monkeypatch):
     Multivector.generator(sig, 1) * vectors[0]
     ApproxMultivector.from_exact(vectors[0]) * ApproxMultivector.from_exact(vectors[1])
     assert algebra.product_paths == Counter(spinor=1, int64=2, sparse=1, float64=1)
+    _full(sig, rng, lo=1 << 20, hi=1 << 21) * _full(sig, rng)
+    assert algebra.product_paths == Counter(spinor=1, int64=2, sparse=1, float64=1, residue=1)
 
 
 def test_product_pairs_count_blade_pairs_per_route(monkeypatch):
@@ -397,17 +400,22 @@ def test_product_pairs_count_blade_pairs_per_route(monkeypatch):
     u ^ v
     Multivector.generator(sig, 1) * Multivector.generator(sig, 2)
     ApproxMultivector.from_exact(u) * ApproxMultivector.from_exact(v)
+    (u * (1 << 40)) * v
     # an empty product runs on no path
     u * Multivector.zero(sig)
-    assert algebra.product_paths == Counter(spinor=1, int64=1, sparse=1, float64=1)
-    assert algebra.product_pairs == Counter(spinor=256 * 256, int64=256 * 256, sparse=1, float64=256 * 256)
+    assert algebra.product_paths == Counter(spinor=1, int64=1, sparse=1, float64=1, residue=1)
+    assert algebra.product_pairs == Counter(
+        spinor=256 * 256, int64=256 * 256, sparse=1, float64=256 * 256, residue=256 * 256
+    )
 
 
 @pytest.mark.parametrize("exterior", [False, True])
 @pytest.mark.parametrize("big", [1 << 62, (1 << 63) - 1, -(1 << 63), 1 << 63, Fraction(1, 2)])
 def test_values_past_the_int64_bound_stay_on_the_sparse_path(big, exterior, monkeypatch):
     # 64 · 64 blade pairs pass both dense thresholds at n = 6, but one
-    # coefficient at or past 2^62 (or not an int) keeps the product sparse
+    # coefficient at or past 2^62 (or not an int) keeps a wedge sparse; an
+    # integer geometric product takes the residue path, a Fraction stays sparse
+    path = "residue" if type(big) is int and not exterior else "sparse"
     monkeypatch.setattr(algebra, "product_paths", Counter())
     sig = Signature(4, 2)
     rng = random.Random(7 + exterior)
@@ -415,7 +423,7 @@ def test_values_past_the_int64_bound_stay_on_the_sparse_path(big, exterior, monk
     ops[0][rng.randrange(1 << sig.n)] = big
     u, v = (Multivector(sig, c) for c in ops)
     w = u ^ v if exterior else u * v
-    assert algebra.product_paths == Counter(sparse=1)
+    assert algebra.product_paths == Counter({path: 1})
     _assert_byte_equal(w, _mul_sparse(ops[0], ops[1], sig.neg_mask, exterior))
 
 
@@ -430,3 +438,84 @@ def test_int64_bounds_are_exact(values):
     _, _, m, total = u._int64()
     assert (type(m), type(total)) == (int, int)
     assert (m, total) == (max(map(abs, values)), sum(map(abs, values)))
+
+
+def _signatures(n):
+    return [Signature(n, 0), Signature(n // 2, n - n // 2), Signature(0, n)]
+
+
+@pytest.mark.parametrize("big", [1 << 62, 1 << 63, 1 << 200], ids=["2^62", "2^63", "2^200"])
+@pytest.mark.parametrize("sig", [s for n in (6, 8, 12) for s in _signatures(n)], ids=str)
+def test_residue_route_byte_equal_sparse(sig, big, monkeypatch):
+    # 64 blades against 2^(n-1) is 32 pairs per blade, the spinor threshold;
+    # every coefficient of both operands is ±big plus a small offset, so some
+    # pass int64 and the operands come as int64 arrays or Python ints
+    monkeypatch.setattr(algebra, "product_paths", Counter())
+    rng = random.Random(sig.p * 31 + sig.q + big.bit_length())
+
+    def operand(size):
+        return {b: rng.choice((-1, 1)) * big + rng.randint(-9, 9) for b in rng.sample(range(1 << sig.n), size)}
+
+    u, v = operand(64), operand(1 << (sig.n - 1))
+    w = Multivector(sig, u) * Multivector(sig, v)
+    assert algebra.product_paths == Counter(residue=1)
+    _assert_byte_equal(w, _mul_sparse(u, v, sig.neg_mask, False))
+
+
+@pytest.mark.parametrize("over", [False, True])
+def test_residue_results_past_2_62_come_back_as_python_ints(over, monkeypatch):
+    # u = A + 63 unit blades against v = C + 255 unit blades at n = 8, signed
+    # so that the scalar coefficient is A C + 63.  Under: ‖u‖₁ ‖v‖₁ =
+    # 2^31 (2^31 - 1), and the scalar is within 2^40 of 2^62; over: A = C =
+    # 2^31 put the scalar itself past 2^62
+    monkeypatch.setattr(algebra, "product_paths", Counter())
+    sig = Signature(5, 3)
+    rng = random.Random(over)
+    a, c = ((1 << 31), (1 << 31)) if over else ((1 << 31) - 63, (1 << 31) - 256)
+    u = {0: a} | {b: rng.choice((-1, 1)) for b in rng.sample(range(1, 1 << 8), 63)}
+    v = {0: c} | {b: blade_product(sig, b, b)[0] * u.get(b, rng.choice((-1, 1))) for b in range(1, 1 << 8)}
+    norms = sum(map(abs, u.values())) * sum(map(abs, v.values()))
+    assert (norms >= 1 << 62) == over
+    w = Multivector(sig, u) * Multivector(sig, v)
+    assert algebra.product_paths == Counter(residue=1)
+    if over:
+        assert w._arr is None and all(type(x) is int for x in w._coeffs.values())
+    else:
+        assert w._coeffs is None and w._arr[1].dtype == np.int64
+    assert w.coefficient(0) == a * c + 63 and (a * c + 63 >= 1 << 62) == over
+    _assert_byte_equal(w, _mul_sparse(u, v, sig.neg_mask, False))
+
+
+@pytest.mark.parametrize("bits, path", [(690, "residue"), (710, "sparse")])
+def test_residue_route_ends_at_the_last_prime(bits, path, monkeypatch):
+    # full operands at n = 6 with coefficients near 2^bits have ‖u‖₁ ‖v‖₁
+    # near 2^(2 bits + 12): 2^1392 needs 64 primes, 2^1432 more than there are
+    monkeypatch.setattr(algebra, "product_paths", Counter())
+    sig = Signature(3, 3)
+    rng = random.Random(bits)
+    u, v = ({b: rng.choice((-1, 1)) * (1 << bits) + rng.randint(-9, 9) for b in range(64)} for _ in range(2))
+    bound = sum(map(abs, u.values())) * sum(map(abs, v.values()))
+    assert (bound < _accel.RESIDUE_LIMIT) == (path == "residue")
+    assert path == "sparse" or _accel.residue_count(bound) == len(_accel.PRIMES)
+    w = Multivector(sig, u) * Multivector(sig, v)
+    assert algebra.product_paths == Counter({path: 1})
+    _assert_byte_equal(w, _mul_sparse(u, v, sig.neg_mask, False))
+
+
+def test_residue_primes_are_distinct_and_the_count_minimal():
+    primes = _accel.PRIMES
+    assert len(set(primes)) == len(primes)
+    for p in primes:
+        assert 2 < p < 1 << 22 and all(p % f for f in range(2, 2048)), p
+    modulus = 1
+    for k, p in enumerate(primes, 1):
+        modulus *= p
+        # the first k primes spell every |c| <= (modulus - 1) / 2 and no more
+        assert _accel.residue_count((modulus - 1) // 2) == k
+        assert _accel.residue_count((modulus + 1) // 2) == k + 1
+        for bound in (1, 1 << 40, 1 << 62, 1 << 200, 1 << 1000, (modulus - 1) // 2):
+            need = _accel.residue_count(bound)
+            if need == k:
+                assert modulus > 2 * bound >= modulus // p
+    assert _accel.residue_count(_accel.RESIDUE_LIMIT - 1) == len(primes)
+    assert _accel.residue_count(_accel.RESIDUE_LIMIT) == len(primes) + 1
