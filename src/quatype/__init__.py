@@ -6,6 +6,23 @@ functions, and a small typed expression language whose static type
 inference is verified against concrete random evaluation.
 """
 
+import importlib.util
+import sys
+
+
+def _lazy_submodule(name: str):
+    """Bind the submodule ``name`` in sys.modules without running it; its first attribute access loads it."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the array kernels, the only module that imports numpy, load on the first
+# dense operation: the residue rules and small sparse products need no array
+_accel = _lazy_submodule("_accel")
+
 from .algebra import (
     ApproxMultivector,
     Multivector,

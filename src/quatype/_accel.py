@@ -1,23 +1,19 @@
-"""Exact and float product kernels and the spinor form for the hot verification loops.
+"""The array kernels: products, the spinor form, sampling and series in numpy.
+
+This is the only module of the package that imports numpy.  The package
+binds it lazily (``quatype/__init__.py``), so numpy loads on the first
+dense operation: the residue rules behind ``infer``, ``tables`` and a
+``check`` on a small algebra never need an array.  Everything here works on
+the coefficient forms of :mod:`quatype.algebra` and is called only from
+there, :mod:`quatype.qtypes` and :mod:`quatype.powers`.
 
 The blade-pair kernel flattens a sparse multivector with machine-sized
 coefficients to (blade, value) arrays and scatter-adds every blade-pair
 contribution of the geometric or exterior product into a dense length-2^n
-output, in int64 or float64.
-
-Blades are bitmaps over the n generators (Dorst, Fontijne and Mann,
-*Geometric Algebra for Computer Science*, ch. 19).  The sign of e_a e_b is
-(-1)^s, where s counts the pairs (i in a, j in b) with i > j plus the
-common generators that square to -1.  Both terms are linear in b over
-GF(2), so s is odd exactly when popcount(w(a) & b) is, with
-
-    w(a) = (a & neg_mask) ^ L(a),  L(a) = XOR over k >= 1 of (a >> k),
-
-since bit j of L(a) is the parity of a's bits above j.  :func:`sign_word`
-computes w(a) in four shift-and-xor doublings, on one blade or on an int64
-array of them; every blade-pair path, sparse or dense, reads its signs off
-it.  The dense kernel takes w of all 2^n blades from :func:`sign_form`,
-built on first use and cached per signature.
+output, in int64 or float64.  It reads its signs off the sign rule of
+:func:`quatype.algebra.sign_word`, e_a e_b = (-1)^popcount(w(a) & b)
+e_{a^b}, with w of all 2^n blades taken from :func:`sign_form`, built on
+first use and cached per signature.
 
 The Jordan–Wigner spinor representation (Lounesto, *Clifford Algebras and
 Spinors*, 2001) maps Cl faithfully into complex d x d matrices, d =
@@ -27,18 +23,19 @@ d x d matrix product.  :func:`spinor_table`, cached per signature, holds
 everything a conversion reads: the masks, the phases i^k and i^-k, the sign
 matrix and the cell index (built from :func:`spinor_form`, cached per n,
 and :func:`spinor_phase`, the exponents k of a signature).  The Clifford
-series run there in float64.  :func:`product_spinor` multiplies integer
-multivectors there exactly in complex128, with no reduction: O(2^1.5n) work
-in place of the kernel's O(4^n) blade pairs.  :func:`product_residue` does
-the same for any coefficients with ‖u‖₁ ‖v‖₁ below about 2^1407: it multiplies
-the matrices mod each of a few primes below 2^22 (:data:`PRIMES`), all of
-them in one stack, and rebuilds every coefficient from its residues by
-Garner's mixed-radix form of the Chinese remainder theorem (Knuth, TAOCP
-vol. 2, §4.3.2).
+series run there in float64 (:func:`spinor_series`).  :func:`product_spinor`
+multiplies integer multivectors there exactly in complex128, with no
+reduction: O(2^1.5n) work in place of the kernel's O(4^n) blade pairs.
+:func:`product_residue` does the same for any coefficients with ‖u‖₁ ‖v‖₁
+below about 2^1407: it multiplies the matrices mod each of a few primes
+below 2^22 (:data:`PRIMES`), all of them in one stack, and rebuilds every
+coefficient from its residues by Garner's mixed-radix form of the Chinese
+remainder theorem (Knuth, TAOCP vol. 2, §4.3.2).
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from functools import lru_cache
 from itertools import accumulate
@@ -46,24 +43,79 @@ from operator import mul
 
 import numpy as np
 
+from .algebra import sign_word
+
 # blade pairs per chunk of rows: bounds the temporaries at n = 11 and 12,
 # and at 512 KB per int64 temporary they stay in cache (chunks of 2^20
 # pairs ran 1.5x slower at n = 12)
 CHUNK_PAIRS = 1 << 16
 
 
-def sign_word(a, neg_mask: int):
-    """w(a) of the sign rule, e_a e_b = (-1)^popcount(w(a) & b) e_{a^b}.
+# ---------------------------------------------------------------------------
+# coefficient arrays
 
-    ``a`` is a blade or an int64 array of blades below 2^17: the doublings
-    fold a >> 1 through a >> 16 into L(a).
+
+def int_slot(blades: np.ndarray, values: np.ndarray) -> tuple:
+    """The ``_arr`` slot of int64 ``blades`` and ``values``: the two made read-only, then max |v| and Σ |v| as exact ints."""
+    m = max(int(values.max()), -int(values.min())) if len(values) else 0
+    # Σ |v| in int64 cannot overflow below this; -2^63 has no int64 abs
+    total = int(np.abs(values).sum()) if m * len(values) < 1 << 63 else sum(map(abs, values.tolist()))
+    blades.flags.writeable = values.flags.writeable = False
+    return blades, values, m, total
+
+
+def dict_slot(coeffs: dict):
+    """The ``_arr`` slot of a coefficient dict: ``False`` unless every value is an int64."""
+    values = np.array(list(coeffs.values()))
+    # Fractions give the object dtype, ints past int64 float64 or object
+    return values.dtype == np.int64 and int_slot(np.fromiter(coeffs, np.int64, len(coeffs)), values)
+
+
+def exact_arrays(coeffs: dict) -> tuple[np.ndarray, np.ndarray]:
+    """An int coefficient dict as int64 blades and an object array of its Python-int values."""
+    return np.fromiter(coeffs, np.int64, len(coeffs)), np.array(list(coeffs.values()), dtype=object)
+
+
+def float_arrays(coeffs: dict) -> tuple[np.ndarray, np.ndarray]:
+    """A float coefficient dict as int64 blade and float64 value arrays."""
+    return np.fromiter(coeffs.keys(), np.int64, len(coeffs)), np.fromiter(coeffs.values(), np.float64, len(coeffs))
+
+
+def nonzero(out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero entries of a dense length-2^n coefficient array: (blades, values)."""
+    nz = np.flatnonzero(out)
+    return nz, out[nz]
+
+
+def dense_coeffs(out: np.ndarray) -> dict:
+    """The nonzero entries of a dense length-2^n float or object coefficient array, as a coefficient dict."""
+    blades, values = nonzero(out)
+    return dict(zip(blades.tolist(), values.tolist()))
+
+
+def sum_arrays(n: int, a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero (blades, values) of u + v from the ``_arr`` slots of u and v.
+
+    u's blades come first, in order, then v's new ones, as the dict sum orders them.
     """
-    t = a >> 1
-    t ^= t >> 1
-    t ^= t >> 2
-    t ^= t >> 4
-    t ^= t >> 8
-    return t ^ (a & neg_mask)
+    (ia, va), (ib, vb) = a[:2], b[:2]
+    acc = np.zeros(1 << n, dtype=np.int64)
+    acc[ia] = va
+    # u stores no zero, so a blade of v is new exactly where acc is still 0
+    blades = np.concatenate((ia, ib[acc[ib] == 0]))
+    acc[ib] += vb
+    values = acc[blades]
+    keep = values != 0
+    return blades[keep], values[keep]
+
+
+def grade_residues(blades: np.ndarray) -> list[int]:
+    """The residues mod 4 of the grades of int64 ``blades``, ascending."""
+    return np.flatnonzero(np.bincount(np.bitwise_count(blades) & 3)).tolist()
+
+
+# ---------------------------------------------------------------------------
+# blade-pair products
 
 
 @lru_cache(maxsize=64)
@@ -96,6 +148,19 @@ def product_dense(ia, va, ib, vb, neg_mask, n, exterior=False):
             prod[(a & ib) != 0] = 0
         np.add.at(out, (a ^ ib).ravel(), prod.ravel())
     return out
+
+
+def product_float(ca: dict, cb: dict, neg_mask: int, n: int, exterior: bool) -> dict:
+    """The blade-pair product of two float coefficient dicts, as a coefficient dict."""
+    # float overflow surfaces as inf/NaN, which classification reports;
+    # the exact paths cannot overflow within their bounds
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = product_dense(*float_arrays(ca), *float_arrays(cb), neg_mask, n, exterior=exterior)
+    return dense_coeffs(out)
+
+
+# ---------------------------------------------------------------------------
+# the spinor representation
 
 
 @lru_cache(maxsize=None)
@@ -300,3 +365,115 @@ def product_residue(ia, va, ib, vb, neg_mask, n, bound):
     for j in range(k - 2, -1, -1):
         out = out * PRIMES[j] + digits[j]
     return out
+
+
+# ---------------------------------------------------------------------------
+# Clifford series
+
+
+# Taylor degree of the (even, odd) pair in Y = ±X^2; at the ∞-norm 1/2 that
+# X is scaled to, the first omitted term, 0.5^16 / 16!, is below 1e-18
+_SERIES_DEGREE = 7
+# row 0 sums the even series in Y, row 1 the odd one (before its factor X)
+_PAIR = np.array([[1 / math.factorial(2 * k + odd) for k in range(_SERIES_DEGREE + 1)] for odd in (0, 1)])
+
+
+def spinor_series(coeffs: dict, neg_mask: int, n: int, parities: tuple[int, ...], trig: bool) -> dict:
+    """An elementary function of the float multivector ``coeffs`` as a matrix function: a coefficient dict.
+
+    ``parities`` and ``trig`` are the function's rule (see
+    :func:`quatype.qtypes.series_rule`).  u maps to its spinor matrix X,
+    scaled by 2^-s to ∞-norm at most 1/2.  The even/odd Taylor pair (cosh,
+    sinh) of the scaled X, or (cos, sin), is summed in Y = X^2 (or -X^2) to
+    a fixed degree and doubled s times, (C, S) -> (C^2 ± S^2, 2 C S); exp
+    squares C + S s times, the same doubling summed.  The coefficients come
+    back as Re tr(Γ_bᴴ F) / d.  A non-finite coefficient in u, or an
+    overflow, gives non-finite results.
+    """
+    # non-finite values only pass through to the result; numpy's warnings
+    # would repeat what classify reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = to_spinor(*float_arrays(coeffs), neg_mask, n)
+        # 2^steps >= 2 ‖X‖∞; frexp(inf or nan) has exponent 0, so such an X is not scaled
+        steps = max(0, math.frexp(2 * np.abs(x).sum(axis=1).max())[1])
+        x *= 0.5**steps
+        d = len(x)
+        powers = np.empty((_SERIES_DEGREE + 1, d, d), dtype=np.complex128)
+        powers[0] = np.eye(d)
+        np.matmul(x, -x if trig else x, out=powers[1])
+        for k in range(1, _SERIES_DEGREE):
+            np.matmul(powers[k], powers[1], out=powers[k + 1])
+        c, s = (_PAIR @ powers.reshape(_SERIES_DEGREE + 1, d * d)).reshape(2, d, d)
+        s = x @ s
+        if len(parities) == 2:
+            # exp: C' + S' = (C + S)^2: summed before doubling, so an eigenvalue
+            # with a large negative real part does not cancel in cosh + sinh
+            f = c + s
+            for _ in range(steps):
+                f = f @ f
+        else:
+            for _ in range(steps):
+                c, s = c @ c - s @ s if trig else c @ c + s @ s, 2 * (c @ s)
+            f = (c, s)[parities[0]]
+        return dense_coeffs(from_spinor(f, neg_mask, n))
+
+
+# ---------------------------------------------------------------------------
+# sampling
+
+
+# a group finishes its last words one at a time once fewer than this many
+# are needed: a chunk's round of numpy calls costs more than the scalar loop
+_SCALAR_TAIL_WORDS = 32
+# int64 arrays of the blade groups drawn in chunks, by id; each entry keeps
+# its group alive, so no other group can take that id while it is cached
+_GROUP_ARRAYS: dict[int, tuple[tuple, np.ndarray]] = {}
+
+
+def _group_array(blades: tuple[int, ...]) -> np.ndarray:
+    hit = _GROUP_ARRAYS.get(id(blades))
+    if hit is None:
+        if len(_GROUP_ARRAYS) >= 256:
+            _GROUP_ARRAYS.clear()
+        hit = _GROUP_ARRAYS[id(blades)] = (blades, np.array(blades, dtype=np.int64))
+    return hit[1]
+
+
+def draw(rng, blade_groups: tuple, lo: int, hi: int, width: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero (blades, values) of :func:`quatype.algebra.sample_blades`'s draw, in order, group by group."""
+    parts = [_draw_group(rng, blades, lo, hi, width, k) for blades in blade_groups if blades]
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+def _draw_group(rng, blades: tuple[int, ...], lo: int, hi: int, width: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """One nonempty group of the draw: its nonzero (blades, values) in order.
+
+    ``getrandbits(32 m)`` is m successive 32-bit Mersenne Twister words,
+    least significant first (Matsumoto and Nishimura, ACM TOMACS 8, 1998),
+    and ``getrandbits(k)`` for k <= 32 is one word shifted right by 32 - k.
+    A chunk holds exactly the count of blades still without a value, and
+    once fewer than ``_SCALAR_TAIL_WORDS`` are needed they are drawn one at a
+    time, so the draw takes the words the per-blade loop takes, in the same
+    order, and leaves the generator in the same state.
+    """
+    getrandbits = rng.getrandbits
+    accepted = []
+    need = len(blades)
+    while need >= _SCALAR_TAIL_WORDS:
+        words = np.frombuffer(getrandbits(need << 5).to_bytes(need << 2, "little"), "<u4") >> (32 - k)
+        words = words[words < width]
+        accepted.append(words)
+        need -= len(words)
+    tail = []
+    for _ in range(need):
+        r = getrandbits(k)
+        while r >= width:
+            r = getrandbits(k)
+        tail.append(r)
+    accepted.append(np.array(tail, dtype=np.int64))
+    values = np.concatenate(accepted).astype(np.int64, copy=False) + lo
+    keep = values != 0
+    if keep.any():
+        return _group_array(blades)[keep], values[keep]
+    b = rng.choice(blades)
+    return np.array([b], dtype=np.int64), np.array([rng.randint(1, max(hi, 1)) * rng.choice((-1, 1))], dtype=np.int64)

@@ -24,11 +24,14 @@ blade and value arrays with every |value| < 2^62 and builds the dict, of
 Python ints in array order, only when something reads it.  Both forms give
 the same results, the same ``terms()`` and the same iteration order.
 
-Products of at least ``_DENSE_MIN_PAIRS`` blade pairs leave the sparse
-path for :mod:`quatype._accel`.  Approximate operands take the float64
-blade-pair kernel.  An integer geometric product of at least
-``_SPINOR_MIN_PAIRS_PER_BLADE`` pairs per blade of the algebra runs on
-spinor matrices, whatever the size of its coefficients: while
+Every array operation lives in :mod:`quatype._accel`, which the package
+binds lazily: it loads, and numpy with it, on the first dense product,
+chunked draw or Clifford series.  Products of at least
+``_DENSE_MIN_PAIRS`` blade pairs leave the sparse path for it.
+Approximate operands take the float64 blade-pair kernel.  An integer
+geometric product of at least ``_SPINOR_MIN_PAIRS_PER_BLADE`` pairs per
+blade of the algebra runs on spinor matrices, whatever the size of its
+coefficients: while
 2 d ‖u‖₁ ‖v‖₁ < 2^53, d the spinor dimension, as one complex128 matrix
 product, exact in floats; past that, as the same product mod a few primes,
 rebuilt by the Chinese remainder theorem, which returns Python ints once
@@ -52,8 +55,6 @@ from fractions import Fraction
 from functools import lru_cache
 from random import Random
 from typing import Iterable, Mapping, Union
-
-import numpy as np
 
 from . import _accel
 
@@ -157,6 +158,30 @@ def blade_name(bits: int) -> str:
     return "e" + ",".join(str(i) for i in idx)
 
 
+def sign_word(a, neg_mask: int):
+    """w(a) of the sign rule, e_a e_b = (-1)^popcount(w(a) & b) e_{a^b}.
+
+    Blades are bitmaps over the n generators (Dorst, Fontijne and Mann,
+    *Geometric Algebra for Computer Science*, ch. 19).  The sign of e_a e_b
+    is (-1)^s, where s counts the pairs (i in a, j in b) with i > j plus the
+    common generators that square to -1.  Both terms are linear in b over
+    GF(2), so s is odd exactly when popcount(w(a) & b) is, with
+
+        w(a) = (a & neg_mask) ^ L(a),  L(a) = XOR over k >= 1 of (a >> k),
+
+    since bit j of L(a) is the parity of a's bits above j.  ``a`` is a blade
+    or an int64 array of blades below 2^17: four shift-and-xor doublings
+    fold a >> 1 through a >> 16 into L(a).  Every blade-pair path, sparse or
+    dense, reads its signs off w.
+    """
+    t = a >> 1
+    t ^= t >> 1
+    t ^= t >> 2
+    t ^= t >> 4
+    t ^= t >> 8
+    return t ^ (a & neg_mask)
+
+
 def blade_product(sig: Signature, a: int, b: int) -> tuple[int, int]:
     """Geometric product of two basis blades: (sign, result blade).
 
@@ -166,7 +191,7 @@ def blade_product(sig: Signature, a: int, b: int) -> tuple[int, int]:
     limit = 1 << sig.n
     if not (0 <= a < limit and 0 <= b < limit):
         raise ValueError(f"blade outside {sig}")
-    return (-1 if (_accel.sign_word(a, sig.neg_mask) & b).bit_count() & 1 else 1), a ^ b
+    return (-1 if (sign_word(a, sig.neg_mask) & b).bit_count() & 1 else 1), a ^ b
 
 
 def ext_blade_product(a: int, b: int) -> tuple[int, int]:
@@ -176,7 +201,7 @@ def ext_blade_product(a: int, b: int) -> tuple[int, int]:
         raise ValueError(f"blade outside the algebras with up to {MAX_DIMENSION} generators")
     if a & b:
         return 0, 0
-    return (-1 if (_accel.sign_word(a, 0) & b).bit_count() & 1 else 1), a | b
+    return (-1 if (sign_word(a, 0) & b).bit_count() & 1 else 1), a | b
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +226,7 @@ def _clean(coeffs: dict) -> dict:
 def _mul_sparse(ca: dict, cb: dict, neg_mask: int, exterior: bool) -> dict:
     out: dict = {}
     for a, x in ca.items():
-        w = _accel.sign_word(a, neg_mask)
+        w = sign_word(a, neg_mask)
         for b, y in cb.items():
             if exterior and a & b:
                 continue
@@ -212,39 +237,17 @@ def _mul_sparse(ca: dict, cb: dict, neg_mask: int, exterior: bool) -> dict:
     return _clean(out)
 
 
-def _blade_arrays(coeffs: dict, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """A float coefficient dict as int64 blade and ``dtype`` value arrays, for the dense kernels."""
-    return np.fromiter(coeffs.keys(), np.int64, len(coeffs)), np.fromiter(coeffs.values(), dtype, len(coeffs))
-
-
-def _dense_coeffs(out: np.ndarray) -> dict:
-    """The nonzero entries of a dense length-2^n float or object coefficient array, as a coefficient dict."""
-    nz = np.flatnonzero(out)
-    return dict(zip(nz.tolist(), out[nz].tolist()))
-
-
-def _int_arrays(blades: np.ndarray, values: np.ndarray) -> tuple:
-    """The ``_arr`` slot of int64 ``blades`` and ``values``: the two made read-only, then max |v| and Σ |v| as exact ints."""
-    m = max(int(values.max()), -int(values.min())) if len(values) else 0
-    # Σ |v| in int64 cannot overflow below this; -2^63 has no int64 abs
-    total = int(np.abs(values).sum()) if m * len(values) < 1 << 63 else sum(map(abs, values.tolist()))
-    blades.flags.writeable = values.flags.writeable = False
-    return blades, values, m, total
-
-
 def _dict_arrays(coeffs: dict):
     """The ``_arr`` slot of a coefficient dict: ``False`` unless every value is an int64."""
-    values = np.array(list(coeffs.values()))
-    # Fractions give the object dtype, ints past int64 float64 or object
-    return values.dtype == np.int64 and _int_arrays(np.fromiter(coeffs, np.int64, len(coeffs)), values)
+    return _accel.dict_slot(coeffs)
 
 
-def _from_arrays(sig: Signature, blades: np.ndarray, values: np.ndarray) -> "Multivector":
+def _from_arrays(sig: Signature, blades, values) -> "Multivector":
     """Trusted construction of an array-born value: int64 arrays, no zero value, every |value| < 2^62."""
     u = object.__new__(Multivector)
     u.sig = sig
     u._coeffs = None
-    u._arr = _int_arrays(blades, values)
+    u._arr = _accel.int_slot(blades, values)
     return u
 
 
@@ -256,16 +259,9 @@ def _exact_operand(u, arr) -> tuple | None:
     if arr:
         return arr[0], arr[1], arr[3]
     c = u._coeffs
-    values = list(c.values())
-    if any(type(x) is not int for x in values):
+    if any(type(x) is not int for x in c.values()):
         return None
-    return np.fromiter(c, np.int64, len(c)), np.array(values, dtype=object), sum(map(abs, values))
-
-
-def _from_dense(sig: Signature, out: np.ndarray) -> "Multivector":
-    """The nonzero entries of a dense length-2^n int64 coefficient array, as an array-born value."""
-    nz = np.flatnonzero(out)
-    return _from_arrays(sig, nz, out[nz])
+    return (*_accel.exact_arrays(c), sum(map(abs, c.values())))
 
 
 def _product(u, v, exterior: bool):
@@ -279,13 +275,7 @@ def _product(u, v, exterior: bool):
         if u._approx:
             product_paths["float64"] += 1
             product_pairs["float64"] += pairs
-            # float overflow surfaces as inf/NaN, which classification reports;
-            # the exact paths below cannot overflow within their bounds
-            with np.errstate(over="ignore", invalid="ignore"):
-                out = _accel.product_dense(
-                    *_blade_arrays(ca, np.float64), *_blade_arrays(cb, np.float64), sig.neg_mask, sig.n, exterior=exterior
-                )
-            return u._make(sig, _dense_coeffs(out))
+            return u._make(sig, _accel.product_float(ca, cb, sig.neg_mask, sig.n, exterior))
         a = u._int64()
         b = a and v._int64()
         if not exterior and pairs >= _SPINOR_MIN_PAIRS_PER_BLADE << sig.n:
@@ -293,36 +283,27 @@ def _product(u, v, exterior: bool):
             if b and 2 * d * a[3] * b[3] < _SPINOR_EXACT_BOUND:
                 product_paths["spinor"] += 1
                 product_pairs["spinor"] += pairs
-                return _from_dense(sig, _accel.product_spinor(a[0], a[1], b[0], b[1], sig.neg_mask, sig.n))
+                out = _accel.product_spinor(a[0], a[1], b[0], b[1], sig.neg_mask, sig.n)
+                return _from_arrays(sig, *_accel.nonzero(out))
             x = _exact_operand(u, a)
             y = x and _exact_operand(v, v._int64())
             if y and x[2] * y[2] < _accel.RESIDUE_LIMIT:
                 product_paths["residue"] += 1
                 product_pairs["residue"] += pairs
                 out = _accel.product_residue(x[0], x[1], y[0], y[1], sig.neg_mask, sig.n, x[2] * y[2])
-                return _from_dense(sig, out) if out.dtype == np.int64 else u._make(sig, _dense_coeffs(out))
+                if out.dtype == object:  # Python ints once the bound reaches 2^62
+                    return u._make(sig, _accel.dense_coeffs(out))
+                return _from_arrays(sig, *_accel.nonzero(out))
         elif b:
             (ia, va, ma, _), (ib, vb, mb, _) = a, b
             if ma * mb * min(len(ia), len(ib)) < _INT64_SAFE_BOUND:
                 product_paths["int64"] += 1
                 product_pairs["int64"] += pairs
-                return _from_dense(sig, _accel.product_dense(ia, va, ib, vb, sig.neg_mask, sig.n, exterior=exterior))
+                out = _accel.product_dense(ia, va, ib, vb, sig.neg_mask, sig.n, exterior=exterior)
+                return _from_arrays(sig, *_accel.nonzero(out))
     product_paths["sparse"] += 1
     product_pairs["sparse"] += pairs
     return u._make(sig, _mul_sparse(ca or u._dict(), cb or v._dict(), sig.neg_mask, exterior))
-
-
-def _sum_arrays(sig: Signature, a: tuple, b: tuple) -> "Multivector":
-    """u + v from the ``_arr`` slots of u and v: u's blades in order, then v's new ones, as the dict sum orders them."""
-    (ia, va), (ib, vb) = a[:2], b[:2]
-    acc = np.zeros(1 << sig.n, dtype=np.int64)
-    acc[ia] = va
-    # u stores no zero, so a blade of v is new exactly where acc is still 0
-    blades = np.concatenate((ia, ib[acc[ib] == 0]))
-    acc[ib] += vb
-    values = acc[blades]
-    keep = values != 0
-    return _from_arrays(sig, blades[keep], values[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +432,7 @@ class _MultivectorBase:
             return NotImplemented
         self._require_same_sig(other)
         if self._arr and other._arr and self._arr[2] + other._arr[2] < _INT64_SAFE_BOUND:
-            return _sum_arrays(self.sig, self._arr, other._arr)
+            return _from_arrays(self.sig, *_accel.sum_arrays(self.sig.n, self._arr, other._arr))
         out = dict(self._coeffs or self._dict())
         for b, v in (other._coeffs or other._dict()).items():
             out[b] = out.get(b, 0) + v
@@ -586,20 +567,6 @@ def blades_of_grades(n: int, grades: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(b for g in grades for b in range(1 << n) if blade_grade(b) == g)
 
 
-# int64 arrays of the blade groups drawn in chunks, by id; each entry keeps
-# its group alive, so no other group can take that id while it is cached
-_GROUP_ARRAYS: dict[int, tuple[tuple, np.ndarray]] = {}
-
-
-def _group_array(blades: tuple[int, ...]) -> np.ndarray:
-    hit = _GROUP_ARRAYS.get(id(blades))
-    if hit is None:
-        if len(_GROUP_ARRAYS) >= 256:
-            _GROUP_ARRAYS.clear()
-        hit = _GROUP_ARRAYS[id(blades)] = (blades, np.array(blades, dtype=np.int64))
-    return hit[1]
-
-
 def sample_blades(
     sig: Signature, rng: Random, blade_groups: Iterable[tuple[int, ...]], lo: int = -9, hi: int = 9
 ) -> Multivector:
@@ -617,7 +584,7 @@ def sample_blades(
     Raises ``ValueError`` when ``lo > hi``.
 
     A draw of at least ``_CHUNKED_DRAW_MIN_BLADES`` blades with k <= 32
-    takes its words in chunks (:func:`_draw_group`) and is array-born.
+    takes its words in chunks (:func:`quatype._accel.draw`) and is array-born.
     """
     width = hi - lo + 1
     if width <= 0:
@@ -627,8 +594,7 @@ def sample_blades(
     if 1 << sig.n >= _CHUNKED_DRAW_MIN_BLADES and k <= 32 and -_INT64_SAFE_BOUND < lo <= hi < _INT64_SAFE_BOUND:
         blade_groups = tuple(blade_groups)
         if sum(map(len, blade_groups)) >= _CHUNKED_DRAW_MIN_BLADES:
-            parts = [_draw_group(rng, blades, lo, hi, width, k) for blades in blade_groups if blades]
-            return _from_arrays(sig, *(np.concatenate(p) for p in zip(*parts)))
+            return _from_arrays(sig, *_accel.draw(rng, blade_groups, lo, hi, width, k))
     getrandbits = rng.getrandbits
     coeffs: dict[int, int] = {}
     for blades in blade_groups:
@@ -644,31 +610,6 @@ def sample_blades(
             b = rng.choice(blades)
             coeffs[b] = rng.randint(1, max(hi, 1)) * rng.choice((-1, 1))
     return Multivector._make(sig, coeffs)
-
-
-def _draw_group(rng: Random, blades: tuple[int, ...], lo: int, hi: int, width: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """One nonempty group of :func:`sample_blades` drawn in chunks: its nonzero (blades, values) in order.
-
-    ``getrandbits(32 m)`` is m successive 32-bit Mersenne Twister words,
-    least significant first (Matsumoto and Nishimura, ACM TOMACS 8, 1998),
-    and ``getrandbits(k)`` for k <= 32 is one word shifted right by 32 - k.
-    A chunk holds exactly the count of blades still without a value, so the
-    draw takes the words the per-blade loop takes, in the same order, and
-    leaves the generator in the same state.
-    """
-    accepted = []
-    need = len(blades)
-    while need:
-        words = np.frombuffer(rng.getrandbits(need << 5).to_bytes(need << 2, "little"), "<u4") >> (32 - k)
-        words = words[words < width]
-        accepted.append(words)
-        need -= len(words)
-    values = np.concatenate(accepted).astype(np.int64) + lo
-    nonzero = values != 0
-    if nonzero.any():
-        return _group_array(blades)[nonzero], values[nonzero]
-    b = rng.choice(blades)
-    return np.array([b], dtype=np.int64), np.array([rng.randint(1, max(hi, 1)) * rng.choice((-1, 1))], dtype=np.int64)
 
 
 def random_multivector(

@@ -21,10 +21,8 @@ import math
 import operator
 from fractions import Fraction
 
-import numpy as np
-
 from . import _accel
-from .algebra import ApproxMultivector, _blade_arrays, _dense_coeffs, _power
+from .algebra import ApproxMultivector, _power
 from .brackets import product_grade_envelope
 from .qtypes import QType, _check_main, infer_power_set, series_rule, series_type
 
@@ -102,54 +100,16 @@ def predict_series_qtype(name: str, t: int) -> QType:
 # floating-point Clifford series
 
 
-# Taylor degree of the (even, odd) pair in Y = ±X^2; at the ∞-norm 1/2 that
-# X is scaled to, the first omitted term, 0.5^16 / 16!, is below 1e-18
-_SERIES_DEGREE = 7
-# row 0 sums the even series in Y, row 1 the odd one (before its factor X)
-_PAIR = np.array([[1 / math.factorial(2 * k + odd) for k in range(_SERIES_DEGREE + 1)] for odd in (0, 1)])
-
-
 def series_fn(name: str, u: ApproxMultivector) -> ApproxMultivector:
-    """Evaluate exp/sin/cos/sinh/cosh of u as a matrix function.
+    """Evaluate exp/sin/cos/sinh/cosh of u as a spinor matrix function (:func:`quatype._accel.spinor_series`).
 
-    u maps to its spinor matrix X, scaled by 2^-s to ∞-norm at most 1/2.  The
-    even/odd Taylor pair (cosh, sinh) of the scaled X, or (cos, sin), is
-    summed in Y = X^2 (or -X^2) to a fixed degree and doubled s times,
-    (C, S) -> (C^2 ± S^2, 2 C S); exp squares C + S s times, the same
-    doubling summed.  The coefficients come back as Re tr(Γ_bᴴ F) / d.  A
-    non-finite coefficient in u, or an overflow, gives non-finite results.
+    A non-finite coefficient in u, or an overflow, gives non-finite results.
     """
     parities, trig = series_rule(name)
     if not isinstance(u, ApproxMultivector):
         raise TypeError("Clifford series run on ApproxMultivector inputs")
     sig = u.sig
-    # non-finite values only pass through to the result; numpy's warnings
-    # would repeat what classify reports
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = _accel.to_spinor(*_blade_arrays(u._coeffs, np.float64), sig.neg_mask, sig.n)
-        # 2^steps >= 2 ‖X‖∞; frexp(inf or nan) has exponent 0, so such an X is not scaled
-        steps = max(0, math.frexp(2 * np.abs(x).sum(axis=1).max())[1])
-        x *= 0.5**steps
-        d = len(x)
-        powers = np.empty((_SERIES_DEGREE + 1, d, d), dtype=np.complex128)
-        powers[0] = np.eye(d)
-        np.matmul(x, -x if trig else x, out=powers[1])
-        for k in range(1, _SERIES_DEGREE):
-            np.matmul(powers[k], powers[1], out=powers[k + 1])
-        c, s = (_PAIR @ powers.reshape(_SERIES_DEGREE + 1, d * d)).reshape(2, d, d)
-        s = x @ s
-        if len(parities) == 2:
-            # exp: C' + S' = (C + S)^2: summed before doubling, so an eigenvalue
-            # with a large negative real part does not cancel in cosh + sinh
-            f = c + s
-            for _ in range(steps):
-                f = f @ f
-        else:
-            for _ in range(steps):
-                c, s = c @ c - s @ s if trig else c @ c + s @ s, 2 * (c @ s)
-            f = (c, s)[parities[0]]
-        coeffs = _accel.from_spinor(f, sig.neg_mask, sig.n)
-    return ApproxMultivector._make(sig, _dense_coeffs(coeffs))
+    return ApproxMultivector._make(sig, _accel.spinor_series(u._coeffs, sig.neg_mask, sig.n, parities, trig))
 
 
 # ---------------------------------------------------------------------------

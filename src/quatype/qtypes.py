@@ -37,8 +37,7 @@ from itertools import combinations_with_replacement
 from random import Random
 from typing import Iterable, Sequence
 
-import numpy as np
-
+from . import _accel
 from .algebra import (
     ApproxMultivector,
     Multivector,
@@ -178,7 +177,7 @@ def musical_compose(a: MusicalOp, b: MusicalOp) -> MusicalOp:
 def qtype_of(u: Multivector) -> QType:
     """Residue classes mod 4 on which u has nonzero grades; empty for u = 0."""
     if u._coeffs is None:
-        return QType(np.flatnonzero(np.bincount(np.bitwise_count(u._arr[0]) & 3)).tolist())
+        return QType(_accel.grade_residues(u._arr[0]))
     return QType({b.bit_count() & 3 for b in u._coeffs})
 
 

@@ -30,6 +30,43 @@ def assert_matches_golden(proc, name):
     assert proc.stdout == want
 
 
+# infer, tables and a sparse check, then a dense product, in a fresh interpreter
+_COLD_START = """
+import random
+import sys
+
+from quatype import algebra
+from quatype.cli import main
+
+
+def numpy_modules():
+    return [m for m in sys.modules if m == "numpy" or m.startswith("numpy.")]
+
+
+for argv in (["infer", "[U:1,V:2]"], ["tables", "--which", "pair"], ["check", "--sig", "3,0", "[U:1,V:2]"]):
+    assert main(argv) == 0, argv
+assert not numpy_modules(), numpy_modules()[:5]
+
+sig = algebra.Signature(8, 0)
+rng = random.Random(0)
+u, v = (algebra.Multivector(sig, {b: rng.choice((-1, 1)) * rng.randint(1, 9) for b in range(1 << sig.n)}) for _ in "uv")
+before = algebra.product_paths.copy()
+w = u * v
+assert algebra.product_paths - before == {"spinor": 1}, algebra.product_paths
+assert "numpy" in sys.modules
+reference = algebra._mul_sparse(u._dict(), v._dict(), sig.neg_mask, False)
+assert sorted((b, type(x), x) for b, x in w._dict().items()) == sorted((b, type(x), x) for b, x in reference.items())
+"""
+
+
+def test_cold_start_loads_numpy_only_for_a_dense_product():
+    # the residue rules and small sparse products never need an array; the
+    # first full-density Cl(8,0) product loads numpy and still matches the
+    # sparse reference exactly
+    proc = subprocess.run([sys.executable, "-c", _COLD_START], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("which", ["triple", "pair", "musical", "threefold-fixed"])
 @pytest.mark.parametrize("fmt", ["text", "csv"])
 def test_tables_match_goldens(which, fmt):

@@ -411,7 +411,7 @@ def test_product_pairs_count_blade_pairs_per_route(monkeypatch):
 
 @pytest.mark.parametrize("exterior", [False, True])
 @pytest.mark.parametrize("big", [1 << 62, (1 << 63) - 1, -(1 << 63), 1 << 63, Fraction(1, 2)])
-def test_values_past_the_int64_bound_stay_on_the_sparse_path(big, exterior, monkeypatch):
+def test_values_past_the_int64_bound_take_residue_or_sparse(big, exterior, monkeypatch):
     # 64 · 64 blade pairs pass both dense thresholds at n = 6, but one
     # coefficient at or past 2^62 (or not an int) keeps a wedge sparse; an
     # integer geometric product takes the residue path, a Fraction stays sparse
