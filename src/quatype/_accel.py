@@ -7,10 +7,10 @@ dense operation: the residue rules behind ``infer``, ``tables`` and a
 the coefficient forms of :mod:`quatype.algebra` and is called only from
 there, :mod:`quatype.qtypes` and :mod:`quatype.powers`.
 
-The blade-pair kernel flattens a sparse multivector with machine-sized
+The blade-pair kernel flattens a sparse multivector with int64
 coefficients to (blade, value) arrays and scatter-adds every blade-pair
 contribution of the geometric or exterior product into a dense length-2^n
-output, in int64 or float64.  It reads its signs off the sign rule of
+int64 output.  It reads its signs off the sign rule of
 :func:`quatype.algebra.sign_word`, e_a e_b = (-1)^popcount(w(a) & b)
 e_{a^b}, with w of all 2^n blades taken from :func:`sign_form`, built on
 first use and cached per signature.
@@ -24,8 +24,10 @@ everything a conversion reads: the masks, the phases i^k and i^-k, the sign
 matrix and the cell index (built from :func:`spinor_form`, cached per n,
 and :func:`spinor_phase`, the exponents k of a signature).  The Clifford
 series run there in float64 (:func:`spinor_series`).  :func:`product_spinor`
-multiplies integer multivectors there exactly in complex128, with no
-reduction: O(2^1.5n) work in place of the kernel's O(4^n) blade pairs.
+multiplies two multivectors there in complex128: O(2^1.5n) work in place
+of the kernel's O(4^n) blade pairs.  It serves float operands
+(:func:`product_float`) and integer ones, which it multiplies exactly, with
+no reduction, under an ℓ1 bound.
 :func:`product_residue` does the same for any coefficients with ‖u‖₁ ‖v‖₁
 below about 2^1407: it multiplies the matrices mod each of a few primes
 below 2^22 (:data:`PRIMES`), all of them in one stack, and rebuilds every
@@ -127,36 +129,26 @@ def sign_form(n: int, neg_mask: int) -> np.ndarray:
 
 
 def product_dense(ia, va, ib, vb, neg_mask, n, exterior=False):
-    """Dense blade-pair product: returns a length-2^n coefficient array.
+    """Dense blade-pair product: returns a length-2^n int64 coefficient array.
 
-    ``ia``/``ib`` are int64 blade arrays, ``va``/``vb`` matching value arrays
-    (int64 or float64).  Callers are responsible for keeping int64 inputs
-    small enough that no accumulated coefficient overflows.  Pairs are
-    accumulated in row-major order, ``CHUNK_PAIRS`` pairs at a time.
+    ``ia``/``ib`` are int64 blade arrays, ``va``/``vb`` matching int64 value
+    arrays.  Callers are responsible for keeping them small enough that no
+    accumulated coefficient overflows.  Pairs are accumulated in row-major
+    order, ``CHUNK_PAIRS`` pairs at a time.
     """
-    out = np.zeros(1 << n, dtype=va.dtype)
+    out = np.zeros(1 << n, dtype=np.int64)
     wa = sign_form(n, neg_mask)[ia]
     rows = max(1, CHUNK_PAIRS // max(1, len(ib)))
     for lo in range(0, len(ia), rows):
         a = ia[lo : lo + rows, None]
         odd = np.bitwise_count(wa[lo : lo + rows, None] & ib) & 1
-        # (+-1 * va) * vb is exact in float64 too, so it equals +-(va * vb)
-        prod = np.subtract(1, odd << 1, dtype=out.dtype)
+        prod = np.subtract(1, odd << 1, dtype=np.int64)
         prod *= va[lo : lo + rows, None]
         prod *= vb
         if exterior:
             prod[(a & ib) != 0] = 0
         np.add.at(out, (a ^ ib).ravel(), prod.ravel())
     return out
-
-
-def product_float(ca: dict, cb: dict, neg_mask: int, n: int, exterior: bool) -> dict:
-    """The blade-pair product of two float coefficient dicts, as a coefficient dict."""
-    # float overflow surfaces as inf/NaN, which classification reports;
-    # the exact paths cannot overflow within their bounds
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = product_dense(*float_arrays(ca), *float_arrays(cb), neg_mask, n, exterior=exterior)
-    return dense_coeffs(out)
 
 
 # ---------------------------------------------------------------------------
@@ -249,10 +241,11 @@ def from_spinor(m, neg_mask, n):
 
 
 def product_spinor(ia, va, ib, vb, neg_mask, n):
-    """The geometric product as one spinor matrix product: a length-2^n int64 coefficient array.
+    """The geometric product as one spinor matrix product: a length-2^n float64 coefficient array.
 
-    ``ia``/``ib`` are int64 blade arrays and ``va``/``vb`` int64 or
-    integral float64 values.  Exact when the caller has bounded 2 d ‖va‖₁ ‖vb‖₁ below 2^53:
+    ``ia``/``ib`` are int64 blade arrays and ``va``/``vb`` float64 or int64
+    values.  Integer values give exact integral floats when the caller has
+    bounded 2 d ‖va‖₁ ‖vb‖₁ below 2^53:
     a row of the first spinor matrix sums to at most ‖va‖₁ in |Re| + |Im|
     and an entry of the second to at most ‖vb‖₁, so every partial sum of
     the matrix product stays within ‖va‖₁ ‖vb‖₁ and of a trace within d
@@ -261,7 +254,14 @@ def product_spinor(ia, va, ib, vb, neg_mask, n):
     and the traces are d times the coefficients, d a power of 2.
     """
     m = to_spinor(ia, va, neg_mask, n) @ to_spinor(ib, vb, neg_mask, n)
-    return from_spinor(m, neg_mask, n).astype(np.int64)
+    return from_spinor(m, neg_mask, n)
+
+
+def product_float(ca: dict, cb: dict, neg_mask: int, n: int) -> dict:
+    """The geometric product of two float coefficient dicts by :func:`product_spinor`, as a coefficient dict."""
+    # float overflow surfaces as inf/NaN, which classification reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        return dense_coeffs(product_spinor(*float_arrays(ca), *float_arrays(cb), neg_mask, n))
 
 
 # the 64 largest primes below 2^22, largest first: a literal, since finding

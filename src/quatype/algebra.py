@@ -27,22 +27,23 @@ the same results, the same ``terms()`` and the same iteration order.
 Every array operation lives in :mod:`quatype._accel`, which the package
 binds lazily: it loads, and numpy with it, on the first dense product,
 chunked draw or Clifford series.  Products of at least
-``_DENSE_MIN_PAIRS`` blade pairs leave the sparse path for it.
-Approximate operands take the float64 blade-pair kernel.  An integer
+``_DENSE_MIN_PAIRS`` blade pairs may leave the sparse path for it.  A
 geometric product of at least ``_SPINOR_MIN_PAIRS_PER_BLADE`` pairs per
-blade of the algebra runs on spinor matrices, whatever the size of its
-coefficients: while
-2 d ‖u‖₁ ‖v‖₁ < 2^53, d the spinor dimension, as one complex128 matrix
-product, exact in floats; past that, as the same product mod a few primes,
-rebuilt by the Chinese remainder theorem, which returns Python ints once
-‖u‖₁ ‖v‖₁ reaches 2^62.  Any other integer product whose bound
+blade of the algebra runs on spinor matrices.  With float operands it is
+one complex128 matrix product, with no gate since floats need no
+exactness; every other float product, and every float wedge, stays
+sparse.  With integer operands it runs there whatever the size of its
+coefficients: while 2 d ‖u‖₁ ‖v‖₁ < 2^53, d the spinor dimension, as one
+complex128 matrix product, exact in floats; past that, as the same product
+mod a few primes, rebuilt by the Chinese remainder theorem, which returns
+Python ints once ‖u‖₁ ‖v‖₁ reaches 2^62.  Any other integer product whose bound
 B = max|u| · max|v| · min(len(u), len(v)) is int64-safe runs on the int64
 blade-pair kernel.  The sparse path is the reference implementation; it
 runs small products, products with Fraction coefficients, and the wedges
 and smaller geometric products past int64.  ``product_paths`` counts the
 products each path ran and ``product_pairs`` the blade pairs they
-multiplied, both keyed ``sparse``, ``int64``, ``float64``, ``spinor`` and
-``residue``.
+multiplied, both keyed ``sparse``, ``int64``, ``float64`` (the float
+spinor products), ``spinor`` and ``residue``.
 """
 
 from __future__ import annotations
@@ -272,35 +273,39 @@ def _product(u, v, exterior: bool):
     if not pairs:
         return u._make(sig, {})
     if pairs >= _DENSE_MIN_PAIRS:
+        spinor = not exterior and pairs >= _SPINOR_MIN_PAIRS_PER_BLADE << sig.n
         if u._approx:
-            product_paths["float64"] += 1
-            product_pairs["float64"] += pairs
-            return u._make(sig, _accel.product_float(ca, cb, sig.neg_mask, sig.n, exterior))
-        a = u._int64()
-        b = a and v._int64()
-        if not exterior and pairs >= _SPINOR_MIN_PAIRS_PER_BLADE << sig.n:
-            d = 1 << ((sig.n + 1) >> 1)  # the spinor matrices are d x d
-            if b and 2 * d * a[3] * b[3] < _SPINOR_EXACT_BOUND:
-                product_paths["spinor"] += 1
-                product_pairs["spinor"] += pairs
-                out = _accel.product_spinor(a[0], a[1], b[0], b[1], sig.neg_mask, sig.n)
-                return _from_arrays(sig, *_accel.nonzero(out))
-            x = _exact_operand(u, a)
-            y = x and _exact_operand(v, v._int64())
-            if y and x[2] * y[2] < _accel.RESIDUE_LIMIT:
-                product_paths["residue"] += 1
-                product_pairs["residue"] += pairs
-                out = _accel.product_residue(x[0], x[1], y[0], y[1], sig.neg_mask, sig.n, x[2] * y[2])
-                if out.dtype == object:  # Python ints once the bound reaches 2^62
-                    return u._make(sig, _accel.dense_coeffs(out))
-                return _from_arrays(sig, *_accel.nonzero(out))
-        elif b:
-            (ia, va, ma, _), (ib, vb, mb, _) = a, b
-            if ma * mb * min(len(ia), len(ib)) < _INT64_SAFE_BOUND:
-                product_paths["int64"] += 1
-                product_pairs["int64"] += pairs
-                out = _accel.product_dense(ia, va, ib, vb, sig.neg_mask, sig.n, exterior=exterior)
-                return _from_arrays(sig, *_accel.nonzero(out))
+            # floats need no exactness, so no gate; every other float product stays sparse
+            if spinor:
+                product_paths["float64"] += 1
+                product_pairs["float64"] += pairs
+                return u._make(sig, _accel.product_float(ca, cb, sig.neg_mask, sig.n))
+        else:
+            a = u._int64()
+            b = a and v._int64()
+            if spinor:
+                d = 1 << ((sig.n + 1) >> 1)  # the spinor matrices are d x d
+                if b and 2 * d * a[3] * b[3] < _SPINOR_EXACT_BOUND:
+                    product_paths["spinor"] += 1
+                    product_pairs["spinor"] += pairs
+                    out = _accel.product_spinor(a[0], a[1], b[0], b[1], sig.neg_mask, sig.n)
+                    return _from_arrays(sig, *_accel.nonzero(out.astype("int64")))
+                x = _exact_operand(u, a)
+                y = x and _exact_operand(v, v._int64())
+                if y and x[2] * y[2] < _accel.RESIDUE_LIMIT:
+                    product_paths["residue"] += 1
+                    product_pairs["residue"] += pairs
+                    out = _accel.product_residue(x[0], x[1], y[0], y[1], sig.neg_mask, sig.n, x[2] * y[2])
+                    if out.dtype == object:  # Python ints once the bound reaches 2^62
+                        return u._make(sig, _accel.dense_coeffs(out))
+                    return _from_arrays(sig, *_accel.nonzero(out))
+            elif b:
+                (ia, va, ma, _), (ib, vb, mb, _) = a, b
+                if ma * mb * min(len(ia), len(ib)) < _INT64_SAFE_BOUND:
+                    product_paths["int64"] += 1
+                    product_pairs["int64"] += pairs
+                    out = _accel.product_dense(ia, va, ib, vb, sig.neg_mask, sig.n, exterior=exterior)
+                    return _from_arrays(sig, *_accel.nonzero(out))
     product_paths["sparse"] += 1
     product_pairs["sparse"] += pairs
     return u._make(sig, _mul_sparse(ca or u._dict(), cb or v._dict(), sig.neg_mask, exterior))
@@ -316,7 +321,8 @@ class _MultivectorBase:
     Subclasses fix the domain: ``_coeff`` validates and normalises one
     outside coefficient, ``_one`` and ``_zero`` are its unit and zero,
     ``_scalar_types`` are the scalars ``*`` accepts and ``_approx`` selects
-    the float64 dense kernel.
+    the float route of the products: spinor matrices past the threshold,
+    with no exactness gate, and the sparse path below it.
 
     ``_coeffs`` is the coefficient dict and ``_arr`` the int64 form (see the
     module docstring): ``None`` until a dense product asks for it, then
@@ -662,19 +668,25 @@ def to_obj(u: Multivector) -> dict:
     return {"sig": [u.sig.p, u.sig.q], "terms": terms}
 
 
+def _plain_int(value, what: str) -> int:
+    """``value`` if it is an ``int`` and not a ``bool``; a JSON float, string or boolean raises ``ValueError``."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def from_obj(obj: Mapping) -> Multivector:
+    """The multivector of a :func:`to_obj` object; every p, q, blade index, num and den must be an ``int``."""
     try:
         p, q = obj["sig"]
-        sig = Signature(int(p), int(q))
+        sig = Signature(_plain_int(p, "p"), _plain_int(q, "q"))
         coeffs: dict[int, Coeff] = {}
         for term in obj["terms"]:
-            num = term["num"]
-            den = term["den"]
-            if not (isinstance(num, int) and isinstance(den, int)):
-                raise ValueError("num/den must be integers")
+            num = _plain_int(term["num"], "num")
+            den = _plain_int(term["den"], "den")
             if den < 1:
                 raise ValueError("denominators must be positive")
-            bits = blade_bits(term["blade"])
+            bits = blade_bits([_plain_int(a, "blade index") for a in term["blade"]])
             coeffs[bits] = coeffs.get(bits, 0) + Fraction(num, den)
         return Multivector(sig, coeffs)
     except (KeyError, TypeError) as exc:

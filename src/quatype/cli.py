@@ -129,9 +129,12 @@ def _cmd_infer(args) -> int:
 def _cmd_check(args) -> int:
     sig = _parse_sig(args.sig)
     if args.file:
-        with open(args.file, encoding="utf-8") as fh:
-            entries = parse_file(fh.read())
-        exprs = [expr for _, _, expr in entries]
+        try:
+            with open(args.file, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise CliError(f"cannot read expression file {args.file}: {exc}") from exc
+        exprs = [expr for _, _, expr in parse_file(text)]
     elif args.expr is not None:
         exprs = [parse(args.expr)]
     else:

@@ -432,6 +432,17 @@ def test_from_obj_validation():
         from_obj({"sig": [2, 0], "terms": [{"blade": [1], "num": 1.5, "den": 1}]})
     with pytest.raises(ValueError):
         from_obj({"terms": []})
+    # JSON floats, strings and booleans are not integers, wherever they stand
+    term = {"blade": [1], "num": 1, "den": 1}
+    for sig in ([3.7, 0], ["3", "0"], [True, False], [3, 0.0]):
+        with pytest.raises(ValueError):
+            from_obj({"sig": sig, "terms": [term]})
+    for bad in ({"blade": [True]}, {"blade": [1.0]}, {"blade": ["1"]}, {"num": True}, {"den": True}, {"num": "1"}):
+        with pytest.raises(ValueError):
+            from_obj({"sig": [3, 0], "terms": [term | bad]})
+    with pytest.raises(ValueError):
+        from_obj({"sig": [3, 0], "terms": [{"blade": [True], "num": True, "den": 1}]})
+    assert from_obj({"sig": [3, 0], "terms": [term]}) == Multivector.generator(Signature(3, 0), 1)
 
 
 def test_blade_name_high_indices():

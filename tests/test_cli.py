@@ -148,6 +148,13 @@ def test_exit_code_missing_binding():
     assert "binding" in proc.stderr
 
 
+def test_exit_code_unreadable_expression_file(tmp_path, capsys):
+    # an unreadable file is a usage error, not a containment failure
+    path = tmp_path / "missing.txt"
+    assert main(["check", "--sig", "3,0", "--file", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read expression file {path}: ")
+
+
 def test_exit_code_usage():
     proc = run_cli("tables", "--which", "nonexistent")
     assert proc.returncode == 2

@@ -1,5 +1,6 @@
 """Cross-checks between the product kernels, the spinor form and the sparse reference path."""
 
+import math
 import operator
 import random
 from collections import Counter
@@ -11,6 +12,7 @@ import pytest
 from quatype import _accel, algebra
 from quatype.algebra import ApproxMultivector, Multivector, Signature, random_multivector
 from quatype.algebra import _mul_sparse, blade_product, ext_blade_product
+from quatype.qtypes import qtype_of_approx
 
 
 def _arrays(coeffs, dtype):
@@ -33,23 +35,6 @@ def test_dense_matches_sparse_int(exterior):
             assert dense == _mul_sparse(u._dict(), v._dict(), sig.neg_mask, exterior)
 
 
-def test_dense_matches_sparse_float():
-    rng = random.Random(7)
-    sig = Signature(3, 1)
-    for _ in range(20):
-        u = {b: float(c) for b, c in random_multivector(sig, rng)._dict().items()}
-        v = {b: float(c) for b, c in random_multivector(sig, rng)._dict().items()}
-        ia, va = _arrays(u, np.float64)
-        ib, vb = _arrays(v, np.float64)
-        out = _accel.product_dense(ia, va, ib, vb, sig.neg_mask, sig.n)
-        dense = {int(k): float(out[k]) for k in np.flatnonzero(out)}
-        sparse = _mul_sparse(u, v, sig.neg_mask, False)
-        assert set(dense) == set(sparse)
-        for b in dense:
-            # same pairwise terms in a different order: allow rounding slack
-            assert dense[b] == pytest.approx(sparse[b], rel=1e-12, abs=1e-12)
-
-
 def test_kernel_matches_blade_products_exhaustively():
     # one row per call: b -> a ^ b is a bijection, so the weight b + 1 lands
     # alone in its target slot and carries the kernel's sign for (a, b)
@@ -70,16 +55,13 @@ def test_kernel_matches_blade_products_exhaustively():
 
 
 @pytest.mark.parametrize("exterior", [False, True])
-@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+@pytest.mark.parametrize("dtype", [np.int64])
 def test_chunked_kernel_byte_equal(dtype, exterior, monkeypatch):
     rng = np.random.default_rng(11)
     n, neg_mask = 6, 0b110000
     ia = rng.permutation(1 << n)[:45].astype(np.int64)
     ib = rng.permutation(1 << n)[:37].astype(np.int64)
-    if dtype is np.int64:
-        va, vb = rng.integers(-9, 10, 45), rng.integers(-9, 10, 37)
-    else:
-        va, vb = rng.standard_normal(45), rng.standard_normal(37)
+    va, vb = rng.integers(-9, 10, 45, dtype=dtype), rng.integers(-9, 10, 37, dtype=dtype)
     monkeypatch.setattr(_accel, "CHUNK_PAIRS", 1 << 30)
     whole = _accel.product_dense(ia, va, ib, vb, neg_mask, n, exterior=exterior)
     # 37 pairs a row: chunks of 1, 1, 2 (short last chunk) and 3 rows
@@ -384,10 +366,13 @@ def test_product_paths_count_each_product(monkeypatch):
     assert algebra.product_paths == Counter(spinor=1, int64=1)
     vectors[0] ^ vectors[1]
     Multivector.generator(sig, 1) * vectors[0]
+    # 144 float pairs are far below the spinor threshold, so they stay sparse
     ApproxMultivector.from_exact(vectors[0]) * ApproxMultivector.from_exact(vectors[1])
-    assert algebra.product_paths == Counter(spinor=1, int64=2, sparse=1, float64=1)
+    assert algebra.product_paths == Counter(spinor=1, int64=2, sparse=2)
+    ApproxMultivector.from_exact(_full(sig, rng)) * ApproxMultivector.from_exact(_full(sig, rng))
+    assert algebra.product_paths == Counter(spinor=1, int64=2, sparse=2, float64=1)
     _full(sig, rng, lo=1 << 20, hi=1 << 21) * _full(sig, rng)
-    assert algebra.product_paths == Counter(spinor=1, int64=2, sparse=1, float64=1, residue=1)
+    assert algebra.product_paths == Counter(spinor=1, int64=2, sparse=2, float64=1, residue=1)
 
 
 def test_product_pairs_count_blade_pairs_per_route(monkeypatch):
@@ -407,6 +392,60 @@ def test_product_pairs_count_blade_pairs_per_route(monkeypatch):
     assert algebra.product_pairs == Counter(
         spinor=256 * 256, int64=256 * 256, sparse=1, float64=256 * 256, residue=256 * 256
     )
+
+
+def _full_float(sig, rng):
+    """A float multivector on every blade of ``sig`` with coefficients in [-9, 9)."""
+    return ApproxMultivector(sig, {b: rng.uniform(-9, 9) for b in range(1 << sig.n)})
+
+
+@pytest.mark.parametrize("p, q", [(8, 0), (5, 3), (4, 4), (0, 8)])
+def test_float_spinor_products_match_sparse(p, q, monkeypatch):
+    # a full-density float product runs as one spinor matrix product; it sums
+    # the same terms as the sparse loop in another order
+    monkeypatch.setattr(algebra, "product_paths", Counter())
+    sig = Signature(p, q)
+    rng = random.Random(p * 19 + q)
+    u, v = _full_float(sig, rng), _full_float(sig, rng)
+    w = u * v
+    assert algebra.product_paths == Counter(float64=1)
+    reference = _mul_sparse(u._dict(), v._dict(), sig.neg_mask, False)
+    tol = 1e-12 * max(1.0, max(map(abs, reference.values())))
+    for b in set(reference) | set(w._dict()):
+        assert abs(w.coefficient(b) - reference.get(b, 0.0)) <= tol, b
+
+
+def test_other_float_products_stay_sparse(monkeypatch):
+    # at n = 8 the spinor threshold is 32 · 256 pairs: 256 · 31 stays sparse
+    # and 256 · 32 does not; a float wedge stays sparse at any size
+    monkeypatch.setattr(algebra, "product_paths", Counter())
+    sig = Signature(5, 3)
+    rng = random.Random(83)
+    u, v = _full_float(sig, rng), _full_float(sig, rng)
+    for size, path in ((31, "sparse"), (32, "float64")):
+        part = ApproxMultivector(sig, dict(list(v._dict().items())[:size]))
+        u * part
+        assert algebra.product_paths == Counter({path: 1}), size
+        algebra.product_paths.clear()
+    w = u ^ v
+    assert algebra.product_paths == Counter(sparse=1)
+    assert w == ApproxMultivector(sig, _mul_sparse(u._dict(), v._dict(), sig.neg_mask, True))
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_float_operands_give_non_finite_products(bad, monkeypatch):
+    # the spinor route passes inf and NaN through without a RuntimeWarning,
+    # and classification refuses the result
+    monkeypatch.setattr(algebra, "product_paths", Counter())
+    sig = Signature(4, 4)
+    rng = random.Random(84)
+    u, v = _full_float(sig, rng), _full_float(sig, rng)
+    u = ApproxMultivector(sig, u._dict() | {5: bad})
+    w = u * v
+    assert algebra.product_paths == Counter(float64=1)
+    assert w and not any(math.isfinite(x) for _, x in w.terms())
+    with pytest.raises(ValueError):
+        qtype_of_approx(w)
 
 
 @pytest.mark.parametrize("exterior", [False, True])
