@@ -23,12 +23,14 @@ d x d matrix product.  :func:`spinor_table`, cached per signature, holds
 everything a conversion reads: the masks, the phases i^k and i^-k, the sign
 matrix and the cell index (built from :func:`spinor_form`, cached per n,
 and :func:`spinor_phase`, the exponents k of a signature).  The Clifford
-series run there in float64 (:func:`spinor_series`).  :func:`product_spinor`
-multiplies two multivectors there in complex128: O(2^1.5n) work in place
-of the kernel's O(4^n) blade pairs.  It serves float operands
-(:func:`product_float`) and integer ones, which it multiplies exactly, with
-no reduction, under an ℓ1 bound.
-:func:`product_residue` does the same for any coefficients with ‖u‖₁ ‖v‖₁
+series run there in float64 (:func:`spinor_series`).  A geometric product
+there is one complex128 matrix product: O(2^1.5n) work in place of the
+kernel's O(4^n) blade pairs.  Float operands take it whole
+(:func:`product_float`).  Integer values keep their matrices, which
+:mod:`quatype.algebra` multiplies and adds, with no reduction, under an ℓ1
+bound that keeps every float an exact integer, and reads back once by
+:func:`from_spinor`.
+:func:`product_residue` multiplies exactly for any coefficients with ‖u‖₁ ‖v‖₁
 below about 2^1407: it multiplies the matrices mod each of a few primes
 below 2^22 (:data:`PRIMES`), all of them in one stack, and rebuilds every
 coefficient from its residues by Garner's mixed-radix form of the Chinese
@@ -240,28 +242,12 @@ def from_spinor(m, neg_mask, n):
     return (p.ravel()[xz] * cinv).real / len(m)
 
 
-def product_spinor(ia, va, ib, vb, neg_mask, n):
-    """The geometric product as one spinor matrix product: a length-2^n float64 coefficient array.
-
-    ``ia``/``ib`` are int64 blade arrays and ``va``/``vb`` float64 or int64
-    values.  Integer values give exact integral floats when the caller has
-    bounded 2 d ‖va‖₁ ‖vb‖₁ below 2^53:
-    a row of the first spinor matrix sums to at most ‖va‖₁ in |Re| + |Im|
-    and an entry of the second to at most ‖vb‖₁, so every partial sum of
-    the matrix product stays within ‖va‖₁ ‖vb‖₁ and of a trace within d
-    times that, in any summation order.  A 3M complex multiply subtracts
-    two such sums, hence the 2.  Every float is then an integer below 2^53,
-    and the traces are d times the coefficients, d a power of 2.
-    """
-    m = to_spinor(ia, va, neg_mask, n) @ to_spinor(ib, vb, neg_mask, n)
-    return from_spinor(m, neg_mask, n)
-
-
 def product_float(ca: dict, cb: dict, neg_mask: int, n: int) -> dict:
-    """The geometric product of two float coefficient dicts by :func:`product_spinor`, as a coefficient dict."""
+    """The geometric product of two float coefficient dicts as one spinor matrix product, as a coefficient dict."""
     # float overflow surfaces as inf/NaN, which classification reports
     with np.errstate(over="ignore", invalid="ignore"):
-        return dense_coeffs(product_spinor(*float_arrays(ca), *float_arrays(cb), neg_mask, n))
+        m = to_spinor(*float_arrays(ca), neg_mask, n) @ to_spinor(*float_arrays(cb), neg_mask, n)
+        return dense_coeffs(from_spinor(m, neg_mask, n))
 
 
 # the 64 largest primes below 2^22, largest first: a literal, since finding

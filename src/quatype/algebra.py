@@ -16,13 +16,21 @@ samplers are built by the trusted ``_make`` and keep two invariants without
 re-checking: no coefficient is zero, and every integral exact coefficient is
 an ``int`` (so the next product can take the int64 kernel).
 
-An exact value holds its coefficients in one of two forms.  A *dict-born*
+An exact value holds its coefficients in one of three forms.  A *dict-born*
 value keeps the dict, and caches its int64 arrays the first time a dense
-product needs them.  An *array-born* value, which the exact dense products,
-large samples and sums of array-born values return, keeps read-only int64
-blade and value arrays with every |value| < 2^62 and builds the dict, of
-Python ints in array order, only when something reads it.  Both forms give
-the same results, the same ``terms()`` and the same iteration order.
+product needs them.  An *array-born* value, which the int64 and residue
+products, large samples and sums of array-born values return, keeps
+read-only int64 blade and value arrays with every |value| < 2^62 and builds
+the dict, of Python ints in array order, only when something reads it.
+Dict-born and array-born values give the same results, the same
+``terms()`` and the same iteration order.  A *resident* value, which an
+exact spinor product returns, keeps only its read-only complex128 spinor
+matrix and a bound L >= ‖v‖₁ with 2 d L < 2^53, d the spinor dimension.
+Its first read (the dict, the arrays, ``len``, ``max_abs``, classification,
+a wedge, a product off the spinor route, a scaling) reads its coefficients
+off the matrix once, exactly, as arrays in ascending blade order, and
+replaces L by the exact ‖v‖₁.  Every value that enters the spinor route
+caches its matrix beside its other form.
 
 Every array operation lives in :mod:`quatype._accel`, which the package
 binds lazily: it loads, and numpy with it, on the first dense product,
@@ -33,17 +41,22 @@ blade of the algebra runs on spinor matrices.  With float operands it is
 one complex128 matrix product, with no gate since floats need no
 exactness; every other float product, and every float wedge, stays
 sparse.  With integer operands it runs there whatever the size of its
-coefficients: while 2 d ‖u‖₁ ‖v‖₁ < 2^53, d the spinor dimension, as one
-complex128 matrix product, exact in floats; past that, as the same product
-mod a few primes, rebuilt by the Chinese remainder theorem, which returns
-Python ints once ‖u‖₁ ‖v‖₁ reaches 2^62.  Any other integer product whose bound
+coefficients: while 2 d ‖u‖₁ ‖v‖₁ < 2^53 as one complex128 matrix product,
+exact in floats, whose result stays resident; past that, as the same
+product mod a few primes, rebuilt by the Chinese remainder theorem, which
+returns Python ints once ‖u‖₁ ‖v‖₁ reaches 2^62.  A geometric product with
+a resident operand is one matrix product while 2 d L_u L_v < 2^53, a sum
+with a resident operand stays resident while 2 d (L_u + L_v) < 2^53, and
+so does a negation; past the gate both operands materialize and take the
+route their exact norms give.  Any other integer product whose bound
 B = max|u| · max|v| · min(len(u), len(v)) is int64-safe runs on the int64
 blade-pair kernel.  The sparse path is the reference implementation; it
 runs small products, products with Fraction coefficients, and the wedges
 and smaller geometric products past int64.  ``product_paths`` counts the
 products each path ran and ``product_pairs`` the blade pairs they
 multiplied, both keyed ``sparse``, ``int64``, ``float64`` (the float
-spinor products), ``spinor`` and ``residue``.
+spinor products), ``spinor`` and ``residue``; a spinor product with a
+resident operand adds no pairs, since its blade count is not known.
 """
 
 from __future__ import annotations
@@ -69,11 +82,13 @@ Coeff = Union[int, Fraction]
 _DENSE_MIN_PAIRS = 64
 # any product whose coefficient bound stays under this is int64-safe
 _INT64_SAFE_BOUND = 1 << 62
-# below about this many blade pairs per blade of the algebra the int64 kernel
-# beats the spinor path: the measured crossover is 16 to 32 at n = 6, about
-# 16 at n = 7, and 16 or below from n = 8 on (README, Product kernel)
-_SPINOR_MIN_PAIRS_PER_BLADE = 32
-# the spinor path is exact while 2 d ‖u‖₁ ‖v‖₁ stays below this
+# from this many blade pairs per blade of the algebra a product runs on the
+# spinor matrices.  Timed alone on fresh operands, the int64 kernel wins below
+# about 4 pairs per blade while the result stays resident and below 8 to 32
+# once it is read; a product's result is mostly the next product's operand, and
+# check_dense passes run fastest from 8 (README, Product kernel)
+_SPINOR_MIN_PAIRS_PER_BLADE = 8
+# spinor matrices and their products are exact while 2 d ‖u‖₁ ‖v‖₁ stays below this
 _SPINOR_EXACT_BOUND = 1 << 53
 # a sampled draw of at least this many blades takes its random words in
 # chunks and is born as arrays; smaller ones keep the per-blade loop
@@ -249,7 +264,55 @@ def _from_arrays(sig: Signature, blades, values) -> "Multivector":
     u.sig = sig
     u._coeffs = None
     u._arr = _accel.int_slot(blades, values)
+    u._spin = None
     return u
+
+
+def _resident(sig: Signature, m, bound: int) -> "Multivector":
+    """Trusted construction of a resident value: its exact spinor matrix ``m`` and a ``bound`` >= its ℓ1 norm, within the gate."""
+    m.flags.writeable = False
+    u = object.__new__(Multivector)
+    u.sig = sig
+    u._coeffs = u._arr = None
+    u._spin = (m, bound)
+    return u
+
+
+def _spinor_exact(sig: Signature, bound: int) -> bool:
+    """2 d ``bound`` < 2^53, d = 2^ceil(n/2): the gate that keeps spinor matrices of that ℓ1 bound exact.
+
+    Each Γ_b is a signed monomial matrix of units, so a row of the matrix
+    of u sums to at most ‖u‖₁ in |Re| + |Im|, and an entry is at most ‖u‖₁.
+    A product U V then keeps every partial sum within ‖u‖₁ ‖v‖₁ and a trace
+    within d times that, in any summation order; a 3M complex multiply
+    subtracts two such sums, hence the 2.  Every float on the way is an
+    integer below 2^53, so U V is the exact matrix of u v, and the bound
+    L_u L_v of a resident product, or L_u + L_v of a sum, serves the next
+    product as its norm would.  Reading a matrix back sums d entries of it
+    per trace, within d L.
+    """
+    return bound << ((sig.n + 3) >> 1) < _SPINOR_EXACT_BOUND
+
+
+def _bound(u) -> int | None:
+    """A bound on ‖u‖₁ of an exact value: a resident one's, else Σ |v| of its int64 arrays; ``None`` if it has none."""
+    s = u._spin
+    if s:
+        return s[1]
+    arr = u._int64()
+    return arr[3] if arr else None
+
+
+def _matrix(u):
+    """The spinor matrix of an exact value with a bound, converted from its int64 arrays and cached on the first call."""
+    s = u._spin
+    if s is None:
+        sig = u.sig
+        blades, values, _, total = u._arr
+        m = _accel.to_spinor(blades, values, sig.neg_mask, sig.n)
+        m.flags.writeable = False
+        s = u._spin = (m, total)
+    return s[0]
 
 
 def _exact_operand(u, arr) -> tuple | None:
@@ -269,7 +332,13 @@ def _product(u, v, exterior: bool):
     """u v, or u ∧ v with ``exterior``: two multivectors of one signature and class."""
     sig = u.sig
     ca, cb = u._coeffs, v._coeffs
-    pairs = (len(u._arr[0]) if ca is None else len(ca)) * (len(v._arr[0]) if cb is None else len(cb))
+    if not exterior and (ca is None and u._arr is None or cb is None and v._arr is None):
+        # a resident operand: one matrix product while the bounds pass the gate
+        lu, lv = _bound(u), _bound(v)
+        if lu is not None and lv is not None and _spinor_exact(sig, lu * lv):
+            product_paths["spinor"] += 1
+            return _resident(sig, _matrix(u) @ _matrix(v), lu * lv)
+    pairs = (len(u._int64()[0]) if ca is None else len(ca)) * (len(v._int64()[0]) if cb is None else len(cb))
     if not pairs:
         return u._make(sig, {})
     if pairs >= _DENSE_MIN_PAIRS:
@@ -284,12 +353,10 @@ def _product(u, v, exterior: bool):
             a = u._int64()
             b = a and v._int64()
             if spinor:
-                d = 1 << ((sig.n + 1) >> 1)  # the spinor matrices are d x d
-                if b and 2 * d * a[3] * b[3] < _SPINOR_EXACT_BOUND:
+                if b and _spinor_exact(sig, a[3] * b[3]):
                     product_paths["spinor"] += 1
                     product_pairs["spinor"] += pairs
-                    out = _accel.product_spinor(a[0], a[1], b[0], b[1], sig.neg_mask, sig.n)
-                    return _from_arrays(sig, *_accel.nonzero(out.astype("int64")))
+                    return _resident(sig, _matrix(u) @ _matrix(v), a[3] * b[3])
                 x = _exact_operand(u, a)
                 y = x and _exact_operand(v, v._int64())
                 if y and x[2] * y[2] < _accel.RESIDUE_LIMIT:
@@ -324,15 +391,20 @@ class _MultivectorBase:
     the float route of the products: spinor matrices past the threshold,
     with no exactness gate, and the sparse path below it.
 
-    ``_coeffs`` is the coefficient dict and ``_arr`` the int64 form (see the
-    module docstring): ``None`` until a dense product asks for it, then
+    ``_coeffs`` is the coefficient dict, ``_arr`` the int64 form and
+    ``_spin`` the spinor form (see the module docstring).  ``_arr`` is
+    ``None`` until a dense product asks for it, then
     ``(blades, values, max |v|, Σ |v|)``, the last two exact ints, or
-    ``False`` when some value is not an int64.  An array-born value starts
-    with ``_coeffs = None`` and builds the dict on its first :meth:`_dict`.
-    Both are plain slots: a property would slow every dict-born access.
+    ``False`` when some value is not an int64.  ``_spin`` is ``None``
+    until the spinor route asks for it, then ``(matrix, L)``, L >= Σ |v|
+    and exactly Σ |v| once the arrays exist.  An array-born value starts
+    with ``_coeffs = None`` and builds the dict on its first :meth:`_dict`;
+    a resident value starts with ``_arr = None`` as well and builds the
+    arrays on its first :meth:`_int64`.  All three are plain slots: a
+    property would slow every dict-born access.
     """
 
-    __slots__ = ("sig", "_coeffs", "_arr")
+    __slots__ = ("sig", "_coeffs", "_arr", "_spin")
 
     def __init__(self, sig: Signature, coeffs: Mapping | Iterable[tuple] = ()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
@@ -346,7 +418,7 @@ class _MultivectorBase:
             acc[blade] = acc.get(blade, 0) + coerce(value)
         self.sig = sig
         self._coeffs = {k: coerce(v) for k, v in acc.items() if v}
-        self._arr = None
+        self._arr = self._spin = None
 
     @classmethod
     def _make(cls, sig: Signature, coeffs: dict):
@@ -354,22 +426,32 @@ class _MultivectorBase:
         u = object.__new__(cls)
         u.sig = sig
         u._coeffs = coeffs
-        u._arr = None
+        u._arr = u._spin = None
         return u
 
     def _dict(self) -> dict:
         """The coefficient dict; an array-born value builds it once, Python ints in array order."""
         c = self._coeffs
         if c is None:
-            blades, values = self._arr[:2]
+            blades, values = self._int64()[:2]
             c = self._coeffs = dict(zip(blades.tolist(), values.tolist()))
         return c
 
     def _int64(self):
-        """The ``_arr`` slot, converting the dict on the first call."""
+        """The ``_arr`` slot, converting the dict, or a resident value's matrix, on the first call."""
         arr = self._arr
         if arr is None:
-            arr = self._arr = _dict_arrays(self._coeffs)
+            c = self._coeffs
+            if c is None:
+                # resident: the traces are exact integers under the gate, and
+                # the exact Σ |v| replaces the bound
+                sig, m = self.sig, self._spin[0]
+                out = _accel.from_spinor(m, sig.neg_mask, sig.n).astype("int64")
+                arr = _accel.int_slot(*_accel.nonzero(out))
+                self._spin = (m, arr[3])
+            else:
+                arr = _dict_arrays(c)
+            self._arr = arr
         return arr
 
     # -- constructors ------------------------------------------------------
@@ -402,16 +484,16 @@ class _MultivectorBase:
     def max_abs(self):
         c = self._coeffs
         if c is None:
-            return self._arr[2]
+            return self._int64()[2]
         return max(map(abs, c.values()), default=self._zero)
 
     def __len__(self) -> int:
         c = self._coeffs
-        return len(self._arr[0]) if c is None else len(c)
+        return len(self._int64()[0]) if c is None else len(c)
 
     def __bool__(self) -> bool:
         c = self._coeffs
-        return bool(len(self._arr[0])) if c is None else bool(c)
+        return bool(len(self._int64()[0])) if c is None else bool(c)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, type(self)):
@@ -437,8 +519,15 @@ class _MultivectorBase:
         if not isinstance(other, type(self)):
             return NotImplemented
         self._require_same_sig(other)
-        if self._arr and other._arr and self._arr[2] + other._arr[2] < _INT64_SAFE_BOUND:
-            return _from_arrays(self.sig, *_accel.sum_arrays(self.sig.n, self._arr, other._arr))
+        a, b = self._arr, other._arr
+        if a is None and self._coeffs is None or b is None and other._coeffs is None:
+            # a resident operand: the sum stays resident while the bounds pass the gate
+            lu, lv = _bound(self), _bound(other)
+            if lu is not None and lv is not None and _spinor_exact(self.sig, lu + lv):
+                return _resident(self.sig, _matrix(self) + _matrix(other), lu + lv)
+            a, b = self._int64(), other._int64()
+        if a and b and a[2] + b[2] < _INT64_SAFE_BOUND:
+            return _from_arrays(self.sig, *_accel.sum_arrays(self.sig.n, a, b))
         out = dict(self._coeffs or self._dict())
         for b, v in (other._coeffs or other._dict()).items():
             out[b] = out.get(b, 0) + v
@@ -452,6 +541,9 @@ class _MultivectorBase:
     def __neg__(self):
         c = self._coeffs
         if c is None:
+            if self._arr is None:
+                m, bound = self._spin
+                return _resident(self.sig, -m, bound)
             blades, values = self._arr[:2]
             return _from_arrays(self.sig, blades, -values)
         return self._make(self.sig, {b: -v for b, v in c.items()})

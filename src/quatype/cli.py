@@ -135,6 +135,9 @@ def _cmd_check(args) -> int:
         except OSError as exc:
             raise CliError(f"cannot read expression file {args.file}: {exc}") from exc
         exprs = [expr for _, _, expr in parse_file(text)]
+        if not exprs:
+            # a check that checked nothing must not pass
+            raise CliError(f"no expressions in expression file {args.file}")
     elif args.expr is not None:
         exprs = [parse(args.expr)]
     else:

@@ -177,7 +177,7 @@ def musical_compose(a: MusicalOp, b: MusicalOp) -> MusicalOp:
 def qtype_of(u: Multivector) -> QType:
     """Residue classes mod 4 on which u has nonzero grades; empty for u = 0."""
     if u._coeffs is None:
-        return QType(_accel.grade_residues(u._arr[0]))
+        return QType(_accel.grade_residues(u._int64()[0]))
     return QType({b.bit_count() & 3 for b in u._coeffs})
 
 

@@ -466,7 +466,7 @@ def test_random_multivector_respects_grades():
 
 
 def _array_born(sig, rng, how):
-    """A large sample, or a dense geometric or exterior product of two dict-born values."""
+    """A large sample, or a dense geometric or exterior product of two dict-born values (a geometric one may be resident)."""
     if how == "sample" and 1 << sig.n >= algebra._CHUNKED_DRAW_MIN_BLADES:
         return random_multivector(sig, rng)
     a, b = (
@@ -477,8 +477,8 @@ def _array_born(sig, rng, how):
 
 
 def _fresh(u):
-    """An array-born copy of u that has not built its dict yet."""
-    return algebra._from_arrays(u.sig, *u._arr[:2])
+    """An array-born copy of u that has not built its dict yet; a resident u materializes its arrays for it."""
+    return algebra._from_arrays(u.sig, *u._int64()[:2])
 
 
 def _assert_same_value(got, want):

@@ -148,6 +148,17 @@ def test_exit_code_missing_binding():
     assert "binding" in proc.stderr
 
 
+@pytest.mark.parametrize("text", ["", "\n\n", "# only a comment\n  \n# another\n"])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_exit_code_expression_file_without_expressions(text, json_flag, tmp_path, capsys):
+    # a file of comments and blank lines checks nothing, so it must not pass
+    path = tmp_path / "empty.qt"
+    path.write_text(text)
+    assert main(["check", "--sig", "3,0", *json_flag, "--file", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: no expressions in expression file {path}\n"
+
+
 def test_exit_code_unreadable_expression_file(tmp_path, capsys):
     # an unreadable file is a usage error, not a containment failure
     path = tmp_path / "missing.txt"

@@ -5,14 +5,16 @@ import operator
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from quatype import _accel, algebra
 from quatype.algebra import ApproxMultivector, Multivector, Signature, random_multivector
-from quatype.algebra import _mul_sparse, blade_product, ext_blade_product
-from quatype.qtypes import qtype_of_approx
+from quatype.algebra import _mul_sparse, blade_product, ext_blade_product, format_multivector, to_obj
+from quatype.brackets import kfold
+from quatype.qtypes import qtype_of, qtype_of_approx
 
 
 def _arrays(coeffs, dtype):
@@ -114,10 +116,12 @@ def test_integral_fraction_sums_reach_the_int64_kernel(monkeypatch):
     monkeypatch.setattr(_accel, "product_dense", recording)
     rng = random.Random(8)
     sig = Signature(4, 0)
-    u = random_multivector(sig, rng, lo=1, hi=9)
+    # 11 blades of grades 0 to 2: 121 pairs, past the dense threshold and
+    # under the spinor one
+    u = random_multivector(sig, rng, grades=(0, 1, 2), lo=1, hi=9)
     half = u * Fraction(1, 2)
     whole = half + half
-    assert whole == u and len(whole) * len(u) >= algebra._DENSE_MIN_PAIRS
+    assert whole == u and algebra._DENSE_MIN_PAIRS <= len(whole) * len(u) < algebra._SPINOR_MIN_PAIRS_PER_BLADE << sig.n
     assert whole * u == Multivector(sig, _mul_sparse(u._dict(), u._dict(), sig.neg_mask, False))
     assert dtypes == [np.dtype(np.int64)]
 
@@ -416,13 +420,15 @@ def test_float_spinor_products_match_sparse(p, q, monkeypatch):
 
 
 def test_other_float_products_stay_sparse(monkeypatch):
-    # at n = 8 the spinor threshold is 32 · 256 pairs: 256 · 31 stays sparse
-    # and 256 · 32 does not; a float wedge stays sparse at any size
+    # at n = 8 the spinor threshold is k · 256 pairs, k pairs per blade:
+    # 256 · (k - 1) stays sparse and 256 · k does not; a float wedge stays
+    # sparse at any size
     monkeypatch.setattr(algebra, "product_paths", Counter())
     sig = Signature(5, 3)
     rng = random.Random(83)
     u, v = _full_float(sig, rng), _full_float(sig, rng)
-    for size, path in ((31, "sparse"), (32, "float64")):
+    k = algebra._SPINOR_MIN_PAIRS_PER_BLADE
+    for size, path in ((k - 1, "sparse"), (k, "float64")):
         part = ApproxMultivector(sig, dict(list(v._dict().items())[:size]))
         u * part
         assert algebra.product_paths == Counter({path: 1}), size
@@ -558,3 +564,248 @@ def test_residue_primes_are_distinct_and_the_count_minimal():
                 assert modulus > 2 * bound >= modulus // p
     assert _accel.residue_count(_accel.RESIDUE_LIMIT - 1) == len(primes)
     assert _accel.residue_count(_accel.RESIDUE_LIMIT) == len(primes) + 1
+
+
+# ---------------------------------------------------------------------------
+# resident values: exact products kept on their spinor matrices
+
+
+def _resident_ops(sig, rng, count=4):
+    """``count`` dict-born operands of ``sig``: full ±1..9 values and halves of the blades at ±1..3."""
+    ops = []
+    for i in range(count):
+        if i % 2:
+            half = rng.sample(range(1 << sig.n), 1 << (sig.n - 1))
+            ops.append(Multivector(sig, {b: rng.choice((-1, 1)) * rng.randint(1, 3) for b in half}))
+        else:
+            ops.append(_full(sig, rng))
+    return ops
+
+
+def _ref_mul(a, b, sig):
+    return _mul_sparse(a, b, sig.neg_mask, False)
+
+
+def _ref_sum(a, b, sign=1):
+    out = dict(a)
+    for k, x in b.items():
+        out[k] = out.get(k, 0) + sign * x
+    return {k: x for k, x in out.items() if x}
+
+
+def _is_resident(w):
+    return w._coeffs is None and w._arr is None
+
+
+@pytest.mark.parametrize("sig", [s for n in (6, 7, 8) for s in _signatures(n)], ids=str)
+def test_resident_chains_byte_equal_sparse(sig, monkeypatch):
+    # brackets, powers and sums of resident values, each compared with the
+    # sparse loop on the reference dicts before anything reads the value
+    monkeypatch.setattr(algebra, "product_paths", Counter())
+    rng = random.Random(sig.p * 53 + sig.q)
+    ops = _resident_ops(sig, rng)
+    refs = [dict(u._dict()) for u in ops]
+    results = []
+    for k in (3, 4):
+        fwd = reduce(lambda a, b: _ref_mul(a, b, sig), refs[:k])
+        rev = reduce(lambda a, b: _ref_mul(a, b, sig), refs[:k][::-1])
+        for kind, sign in (("commutator", -1), ("anticommutator", 1)):
+            results.append((kfold(kind, ops[:k]), _ref_sum(fwd, rev, sign)))
+    power = refs[1]
+    for m in range(2, 10):
+        power = _ref_mul(power, refs[1], sig)
+        results.append((ops[1] ** m, power))
+    p, q = ops[0] * ops[1], ops[2] * ops[3]
+    pq = [_ref_mul(refs[0], refs[1], sig), _ref_mul(refs[2], refs[3], sig)]
+    assert _is_resident(p) and _is_resident(q)
+    results += [
+        (p + q, _ref_sum(*pq)),
+        (p - q, _ref_sum(*pq, -1)),
+        (-p, {b: -x for b, x in pq[0].items()}),
+        (-(p - q) * p, _ref_mul(_ref_sum(pq[1], pq[0], -1), pq[0], sig)),
+        (p + ops[2], _ref_sum(pq[0], refs[2])),
+        (ops[2] - p, _ref_sum(refs[2], pq[0], -1)),
+    ]
+    assert sum(map(_is_resident, (w for w, _ in results))) >= 12
+    assert algebra.product_paths["spinor"] > algebra.product_paths["int64"] + algebra.product_paths["residue"]
+    for w, reference in results:
+        _assert_byte_equal(w, reference)
+
+
+@pytest.mark.parametrize("p, q", [(8, 0), (4, 4)])
+def test_resident_bounds_are_rigorous(p, q, monkeypatch):
+    # a resident product carries L_u L_v, a sum L_u + L_v and a negation L_u,
+    # each at least the exact ℓ1 norm of its value
+    sig = Signature(p, q)
+    rng = random.Random(p + 75)
+    u, v, w = _full(sig, rng), _full(sig, rng), _full(sig, rng)
+    lu, lv, lw = (x._int64()[3] for x in (u, v, w))
+    uv, vw = u * v, v * w
+    values = uv, vw, uv * w, uv + vw, uv - w, -uv
+    assert all(map(_is_resident, values))
+    bounds = [x._spin[1] for x in values]
+    assert bounds == [lu * lv, lv * lw, lu * lv * lw, lu * lv + lv * lw, lu * lv + lw, lu * lv]
+    for x, bound in zip(values, bounds):
+        assert algebra._spinor_exact(sig, bound) and x._int64()[3] <= bound
+    # u^4 = u^2 u^2 passes the gate on no bound: ‖u^2‖₁ is near 2^40, and
+    # its coefficients near 2^64 would come out rounded from one matrix product
+    big = Multivector(sig, {b: rng.choice((-1, 1)) * ((1 << 12) + rng.randint(0, 9)) for b in range(1 << sig.n)})
+    monkeypatch.setattr(algebra, "product_paths", Counter())
+    square = big * big
+    assert _is_resident(square) and not algebra._spinor_exact(sig, square._spin[1] ** 2)
+    w4 = square * square
+    assert algebra.product_paths == Counter(spinor=1, residue=1) and w4.max_abs() >= 1 << 53
+    reference = _mul_sparse(big._dict(), big._dict(), sig.neg_mask, False)
+    _assert_byte_equal(w4, _mul_sparse(reference, reference, sig.neg_mask, False))
+
+
+def _gate_operands(sig, rng):
+    # big has coefficients near 2^20 on every blade, small ±1..9: at n = 8,
+    # 2 d = 32 and big small passes the gate with room to spare
+    big = Multivector(sig, {b: rng.choice((-1, 1)) * ((1 << 20) + rng.randint(0, 9)) for b in range(1 << sig.n)})
+    return big, _full(sig, rng), _full(sig, rng), _full(sig, rng)
+
+
+@pytest.mark.parametrize("p, q", [(8, 0), (4, 4)])
+def test_resident_gate_failing_on_bounds_retries_on_exact_norms(p, q, monkeypatch):
+    # r = P + (Q - P) equals Q exactly, but its bound 2 L_P + L_Q is far past
+    # its norm ‖Q‖₁: r s fails the gate on bounds, passes it on exact norms,
+    # and runs as one spinor product of the materialized operands
+    sig = Signature(p, q)
+    big, small, other, s = _gate_operands(sig, random.Random(p))
+    P = big * small
+    r = P + (other - P)
+    assert _is_resident(P) and _is_resident(r)
+    bound = r._spin[1]
+    assert not algebra._spinor_exact(sig, bound * s._int64()[3])
+    assert algebra._spinor_exact(sig, other._int64()[3] * s._int64()[3])
+    monkeypatch.setattr(algebra, "product_paths", Counter())
+    w = r * s
+    assert algebra.product_paths == Counter(spinor=1) and _is_resident(w)
+    assert r._arr is not None and r._spin[1] == other._int64()[3] < bound
+    _assert_byte_equal(w, _mul_sparse(other._dict(), s._dict(), sig.neg_mask, False))
+
+
+@pytest.mark.parametrize("p, q", [(8, 0), (4, 4)])
+def test_resident_gate_failing_on_exact_norms_goes_to_residue(p, q, monkeypatch):
+    sig = Signature(p, q)
+    big, small, _, _ = _gate_operands(sig, random.Random(p + 1))
+    P = big * small
+    assert _is_resident(P)
+    monkeypatch.setattr(algebra, "product_paths", Counter())
+    w = P * big
+    assert algebra.product_paths == Counter(residue=1)
+    assert not algebra._spinor_exact(sig, P._spin[1] * big._int64()[3])
+    reference = _mul_sparse(big._dict(), small._dict(), sig.neg_mask, False)
+    _assert_byte_equal(w, _mul_sparse(reference, big._dict(), sig.neg_mask, False))
+
+
+def _reader_cases():
+    sig = Signature(4, 3)
+    half = Multivector(sig, {0: Fraction(1, 2), 3: 1})
+    generator = Multivector.generator(sig, 2)
+    wide = _full(sig, random.Random(71))
+    return {
+        "_dict": lambda w: w._dict(),
+        "_int64": lambda w: [a.tolist() if hasattr(a, "tolist") else a for a in w._int64()],
+        "len": len,
+        "bool": bool,
+        "max_abs": lambda w: w.max_abs(),
+        "qtype_of": qtype_of,
+        "coefficient": lambda w: w.coefficient(5),
+        "terms": lambda w: w.terms(),
+        "wedge, sparse": lambda w: (w ^ generator).terms(),
+        "wedge, int64": lambda w: (w ^ wide).terms(),
+        "product, sparse": lambda w: (w * half).terms(),
+        # a 2^45 coefficient fails the gate on any bound, and 128 pairs are under the spinor threshold
+        "product, int64": lambda w: (w * (generator * (1 << 45))).terms(),
+        "scaling": lambda w: (w * 3).terms(),
+        "==": lambda w: w == Multivector(sig, dict(w.terms())),
+        "str": str,
+        "repr": repr,
+        "format": format_multivector,
+        "to_obj": to_obj,
+        "from_exact": lambda w: ApproxMultivector.from_exact(w).terms(),
+    }
+
+
+@pytest.mark.parametrize("reader", list(_reader_cases()))
+def test_every_reader_of_a_resident_value(reader, monkeypatch):
+    # each reader is the first read of a fresh resident value; it must give
+    # what it gives on the equal dict-born value, and leave the value
+    # materialized with its exact norm in place of the bound
+    sig = Signature(4, 3)
+    rng = random.Random(70)
+    u, v = _full(sig, rng), _full(sig, rng)
+    read = _reader_cases()[reader]
+    reference = Multivector(sig, _mul_sparse(u._dict(), v._dict(), sig.neg_mask, False))
+    want = read(reference)
+    monkeypatch.setattr(algebra, "product_paths", Counter())
+    w = u * v
+    assert _is_resident(w) and algebra.product_paths == Counter(spinor=1)
+    got = read(w)
+    assert got == want and type(got) is type(want)
+    assert w._arr is not None and w._spin[1] == sum(map(abs, reference._dict().values()))
+    assert w == reference and w._dict() == reference._dict()
+
+
+def test_resident_readers_agree_after_reading():
+    # a resident value compares equal both ways, to a resident or dict-born
+    # copy, and materializes its blades in ascending order
+    sig = Signature(3, 4)
+    rng = random.Random(72)
+    u, v = _full(sig, rng), _full(sig, rng)
+    a, b = u * v, u * v
+    assert _is_resident(a) and _is_resident(b)
+    assert a == b and b == a
+    reference = Multivector(sig, _mul_sparse(u._dict(), v._dict(), sig.neg_mask, False))
+    assert reference == a and a == reference
+    assert list(a._dict()) == sorted(a._dict())
+    total = u * v - u * v
+    assert _is_resident(total) and not total and len(total) == 0 and total.max_abs() == 0
+    assert str(total) == "0" and total == Multivector.zero(sig)
+
+
+def test_a_value_converts_to_its_matrix_at_most_once(monkeypatch):
+    # [U, V, W] is U V W - W V U: each operand converts once for both
+    # chains, the partial products stay resident, and every cached matrix is
+    # read-only
+    sig = Signature(5, 3)
+    rng = random.Random(73)
+    ops = _resident_ops(sig, rng, 3)
+    refs = [u._dict() for u in ops]
+    converted = []
+    to_spinor = _accel.to_spinor
+    monkeypatch.setattr(_accel, "to_spinor", lambda ib, *args: converted.append(len(ib)) or to_spinor(ib, *args))
+    monkeypatch.setattr(algebra, "product_paths", Counter())
+    w = kfold("commutator", ops)
+    assert algebra.product_paths == Counter(spinor=4) and _is_resident(w)
+    assert sorted(converted) == sorted(len(u) for u in ops)
+    kfold("anticommutator", ops)
+    assert len(converted) == 3
+    for x in (*ops, w):
+        m = x._spin[0]
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 1
+    fwd = _mul_sparse(_mul_sparse(refs[0], refs[1], sig.neg_mask, False), refs[2], sig.neg_mask, False)
+    rev = _mul_sparse(_mul_sparse(refs[2], refs[1], sig.neg_mask, False), refs[0], sig.neg_mask, False)
+    _assert_byte_equal(w, _ref_sum(fwd, rev, -1))
+
+
+def test_spinor_pairs_count_only_known_blade_counts(monkeypatch):
+    # product_paths counts every spinor product; product_pairs only those
+    # whose blade counts are known without materializing an operand
+    monkeypatch.setattr(algebra, "product_paths", Counter())
+    monkeypatch.setattr(algebra, "product_pairs", Counter())
+    sig = Signature(4, 4)
+    rng = random.Random(74)
+    u, v, w = _full(sig, rng), _full(sig, rng), _full(sig, rng)
+    uv = u * v
+    assert algebra.product_pairs == Counter(spinor=256 * 256)
+    uvw = uv * w
+    assert _is_resident(uvw) and _is_resident(uv)
+    assert algebra.product_paths == Counter(spinor=2) and algebra.product_pairs == Counter(spinor=256 * 256)
+    len(uv)
+    uv * w
+    assert algebra.product_paths == Counter(spinor=3) and algebra.product_pairs == Counter(spinor=2 * 256 * 256)
