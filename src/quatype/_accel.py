@@ -20,7 +20,7 @@ Spinors*, 2001) maps Cl faithfully into complex d x d matrices, d =
 2^ceil(n/2).  Each blade's matrix is a signed Pauli string, fixed by two
 d-bit masks and a phase i^k, so a multivector goes there and back by one
 d x d matrix product.  :func:`spinor_table`, cached per signature, holds
-everything a conversion reads: the masks, the phases i^k and i^-k, the sign
+everything a conversion reads: the masks, the phases i^k, the sign
 matrix and the cell index (built from :func:`spinor_form`, cached per n,
 and :func:`spinor_phase`, the exponents k of a signature).  The Clifford
 series run there in float64 (:func:`spinor_series`).  A geometric product
@@ -60,24 +60,22 @@ CHUNK_PAIRS = 1 << 16
 
 
 def int_slot(blades: np.ndarray, values: np.ndarray) -> tuple:
-    """The ``_arr`` slot of int64 ``blades`` and ``values``: the two made read-only, then max |v| and Σ |v| as exact ints."""
-    m = max(int(values.max()), -int(values.min())) if len(values) else 0
-    # Σ |v| in int64 cannot overflow below this; -2^63 has no int64 abs
-    total = int(np.abs(values).sum()) if m * len(values) < 1 << 63 else sum(map(abs, values.tolist()))
+    """The ``_arr`` slot of int64 ``blades`` and ``values``: the two made read-only, then Σ |v|, exact as it is below 2^62."""
     blades.flags.writeable = values.flags.writeable = False
-    return blades, values, m, total
+    return blades, values, int(np.abs(values).sum())
 
 
 def dict_slot(coeffs: dict):
-    """The ``_arr`` slot of a coefficient dict: ``False`` unless every value is an int64."""
-    values = np.array(list(coeffs.values()))
-    # Fractions give the object dtype, ints past int64 float64 or object
-    return values.dtype == np.int64 and int_slot(np.fromiter(coeffs, np.int64, len(coeffs)), values)
-
-
-def exact_arrays(coeffs: dict) -> tuple[np.ndarray, np.ndarray]:
-    """An int coefficient dict as int64 blades and an object array of its Python-int values."""
-    return np.fromiter(coeffs, np.int64, len(coeffs)), np.array(list(coeffs.values()), dtype=object)
+    """The ``_arr`` slot of a coefficient dict, ``False`` for a Fraction: int64 values while Σ |v| < 2^62, else Python ints."""
+    values = list(coeffs.values())
+    # a Fraction makes the sum a Fraction, even an integral one
+    total = sum(map(abs, values))
+    if type(total) is not int:
+        return False
+    blades = np.fromiter(coeffs, np.int64, len(coeffs))
+    values = np.array(values, dtype=np.int64 if total < 1 << 62 else object)
+    blades.flags.writeable = values.flags.writeable = False
+    return blades, values, total
 
 
 def float_arrays(coeffs: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -211,20 +209,19 @@ def spinor_phase(n: int, neg_mask: int) -> np.ndarray:
 def spinor_table(n: int, neg_mask: int) -> tuple[np.ndarray, ...]:
     """Everything a spinor conversion of Cl with n generators and ``neg_mask`` reads.
 
-    Returns (xz, c, c⁻¹, h, cells): the masks, sign matrix and cell index of
-    :func:`spinor_form`, and each Γ_b's phase c[b] = i^k[b] and its inverse
-    i^-k[b] as complex64 vectors (exact, and half the size).
+    Returns (xz, c, h, cells): the masks, sign matrix and cell index of
+    :func:`spinor_form`, and each Γ_b's phase c[b] = i^k[b] as a complex64
+    vector (exact, and half the size).  Its inverse i^-k[b] is c[b]'s conjugate.
     """
     xz, _, h, cells = spinor_form(n)
     c = _I_POWERS[spinor_phase(n, neg_mask)].astype(np.complex64)
-    cinv = c.conj()
-    c.flags.writeable = cinv.flags.writeable = False
-    return xz, c, cinv, h, cells
+    c.flags.writeable = False
+    return xz, c, h, cells
 
 
 def to_spinor(ib, vb, neg_mask, n):
     """The complex matrix Σ_b v_b Γ_b of the blades ``ib`` and float or int64 values ``vb``."""
-    xz, c, _, h, cells = spinor_table(n, neg_mask)
+    xz, c, h, cells = spinor_table(n, neg_mask)
     d = len(h)
     # p[x, z] holds the Pauli string's weight; p @ h puts row r's signs on it
     p = np.zeros(d * d, dtype=np.complex128)
@@ -236,10 +233,10 @@ def to_spinor(ib, vb, neg_mask, n):
 
 def from_spinor(m, neg_mask, n):
     """The real coefficients c_b = Re tr(Γ_bᴴ m) / d of a spinor matrix, one per blade."""
-    xz, _, cinv, h, cells = spinor_table(n, neg_mask)
-    # h @ h = d I, so this inverts to_spinor; 1 / i^k = i^-k
+    xz, c, h, cells = spinor_table(n, neg_mask)
+    # h @ h = d I, so this inverts to_spinor; 1 / i^k = i^-k, the conjugate
     p = m.ravel()[cells] @ h
-    return (p.ravel()[xz] * cinv).real / len(m)
+    return (p.ravel()[xz] * c.conj()).real / len(m)
 
 
 def product_float(ca: dict, cb: dict, neg_mask: int, n: int) -> dict:
@@ -313,7 +310,7 @@ def product_residue(ia, va, ib, vb, neg_mask, n, bound):
     within |c| + 2^21, so they run in int64 when ``bound`` < 2^62.
     """
     k = residue_count(bound)
-    xz, c, cinv, h, cells = spinor_table(n, neg_mask)
+    xz, c, h, cells = spinor_table(n, neg_mask)
     d = len(h)
     pk, pf, pinv, dinv, inverses = _residue_constants(k, d)
 
@@ -335,7 +332,7 @@ def product_residue(ia, va, ib, vb, neg_mask, n, bound):
 
     # from_spinor of each matrix, with d⁻¹ mod p in place of 1 / d
     m = centre(spinor(ia, va) @ spinor(ib, vb)).reshape(k, d * d)
-    t = (m[:, cells].reshape(k * d, d) @ h).reshape(k, d * d)[:, xz] * cinv
+    t = (m[:, cells].reshape(k * d, d) @ h).reshape(k, d * d)[:, xz] * c.conj()
     r = centre(t.real * dinv).astype(np.int64)
     # Garner: digit j is the residue left mod p_j once the lower digits are
     # taken off and divided out, which every later row does mod its own prime

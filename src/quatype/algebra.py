@@ -17,15 +17,15 @@ re-checking: no coefficient is zero, and every integral exact coefficient is
 an ``int`` (so the next product can take the int64 kernel).
 
 An exact value holds its coefficients in one of three forms.  A *dict-born*
-value keeps the dict, and caches its int64 arrays the first time a dense
-product needs them.  An *array-born* value, which the int64 and residue
-products, large samples and sums of array-born values return, keeps
-read-only int64 blade and value arrays with every |value| < 2^62 and builds
-the dict, of Python ints in array order, only when something reads it.
-Dict-born and array-born values give the same results, the same
-``terms()`` and the same iteration order.  A *resident* value, which an
-exact spinor product returns, keeps only its read-only complex128 spinor
-matrix and a bound L >= ‖v‖₁ with 2 d L < 2^53, d the spinor dimension.
+value keeps the dict, and caches its arrays the first time a dense product
+needs them.  An *array-born* value, which the int64 and residue products,
+large samples and sums of array-born values return, keeps read-only int64
+blade and value arrays with ‖v‖₁ < 2^62 and builds the dict, of Python ints
+in array order, only when something reads it.  Dict-born and array-born
+values give the same results, the same ``terms()`` and the same iteration
+order.  A *resident* value, which an exact spinor product returns, keeps
+only its read-only complex128 spinor matrix and a bound L >= ‖v‖₁ with
+2 d L < 2^53, d the spinor dimension.
 Its first read (the dict, the arrays, ``len``, ``max_abs``, classification,
 a wedge, a product off the spinor route, a scaling) reads its coefficients
 off the matrix once, exactly, as arrays in ascending blade order, and
@@ -48,15 +48,17 @@ returns Python ints once ‖u‖₁ ‖v‖₁ reaches 2^62.  A geometric produc
 a resident operand is one matrix product while 2 d L_u L_v < 2^53, a sum
 with a resident operand stays resident while 2 d (L_u + L_v) < 2^53, and
 so does a negation; past the gate both operands materialize and take the
-route their exact norms give.  Any other integer product whose bound
-B = max|u| · max|v| · min(len(u), len(v)) is int64-safe runs on the int64
-blade-pair kernel.  The sparse path is the reference implementation; it
-runs small products, products with Fraction coefficients, and the wedges
-and smaller geometric products past int64.  ``product_paths`` counts the
-products each path ran and ``product_pairs`` the blade pairs they
-multiplied, both keyed ``sparse``, ``int64``, ``float64`` (the float
-spinor products), ``spinor`` and ``residue``; a spinor product with a
-resident operand adds no pairs, since its blade count is not known.
+route their exact norms give.  Any other integer product with
+‖u‖₁ ‖v‖₁ < 2^62 runs on the int64 blade-pair kernel, and a sum of two
+array operands with ‖u‖₁ + ‖v‖₁ < 2^62 stays in arrays: the ℓ1 norm is the
+one bound every exact route reads.  The sparse path is the reference
+implementation; it runs small products, products with Fraction
+coefficients, and the wedges and smaller geometric products past that
+bound.  ``product_paths`` counts the products each path ran and
+``product_pairs`` the blade pairs they multiplied, both keyed ``sparse``,
+``int64``, ``float64`` (the float spinor products), ``spinor`` and
+``residue``; a spinor product with a resident operand adds no pairs,
+since its blade count is not known.
 """
 
 from __future__ import annotations
@@ -80,7 +82,8 @@ Coeff = Union[int, Fraction]
 # Timed on operands holding both forms, the int64 route catches up with the
 # sparse loop at about 96 pairs at n = 4 and 6, and at 64 to 96 at n = 8
 _DENSE_MIN_PAIRS = 64
-# any product whose coefficient bound stays under this is int64-safe
+# the int64 kernel, array sums and array-born values keep every ℓ1 norm, and
+# with it every partial sum, under this
 _INT64_SAFE_BOUND = 1 << 62
 # from this many blade pairs per blade of the algebra a product runs on the
 # spinor matrices.  Timed alone on fresh operands, the int64 kernel wins below
@@ -253,13 +256,8 @@ def _mul_sparse(ca: dict, cb: dict, neg_mask: int, exterior: bool) -> dict:
     return _clean(out)
 
 
-def _dict_arrays(coeffs: dict):
-    """The ``_arr`` slot of a coefficient dict: ``False`` unless every value is an int64."""
-    return _accel.dict_slot(coeffs)
-
-
 def _from_arrays(sig: Signature, blades, values) -> "Multivector":
-    """Trusted construction of an array-born value: int64 arrays, no zero value, every |value| < 2^62."""
+    """Trusted construction of an array-born value: int64 arrays, no zero value, Σ |value| < 2^62."""
     u = object.__new__(Multivector)
     u.sig = sig
     u._coeffs = None
@@ -295,37 +293,24 @@ def _spinor_exact(sig: Signature, bound: int) -> bool:
 
 
 def _bound(u) -> int | None:
-    """A bound on ‖u‖₁ of an exact value: a resident one's, else Σ |v| of its int64 arrays; ``None`` if it has none."""
+    """A bound on ‖u‖₁ of an exact value: a resident one's, else its exact Σ |v|; ``None`` if it holds a Fraction."""
     s = u._spin
     if s:
         return s[1]
     arr = u._int64()
-    return arr[3] if arr else None
+    return arr[2] if arr else None
 
 
 def _matrix(u):
-    """The spinor matrix of an exact value with a bound, converted from its int64 arrays and cached on the first call."""
+    """The spinor matrix of an exact value within the gate, converted from its int64 arrays and cached on the first call."""
     s = u._spin
     if s is None:
         sig = u.sig
-        blades, values, _, total = u._arr
+        blades, values, total = u._arr
         m = _accel.to_spinor(blades, values, sig.neg_mask, sig.n)
         m.flags.writeable = False
         s = u._spin = (m, total)
     return s[0]
-
-
-def _exact_operand(u, arr) -> tuple | None:
-    """(blades, values, Σ |v|) of an integer operand whose ``_arr`` slot is ``arr``; ``None`` if it holds a Fraction.
-
-    The values are int64, or an object array of Python ints when some value is past int64.
-    """
-    if arr:
-        return arr[0], arr[1], arr[3]
-    c = u._coeffs
-    if any(type(x) is not int for x in c.values()):
-        return None
-    return (*_accel.exact_arrays(c), sum(map(abs, c.values())))
 
 
 def _product(u, v, exterior: bool):
@@ -352,26 +337,25 @@ def _product(u, v, exterior: bool):
         else:
             a = u._int64()
             b = a and v._int64()
-            if spinor:
-                if b and _spinor_exact(sig, a[3] * b[3]):
+            if b:
+                (ia, va, lu), (ib, vb, lv) = a, b
+                bound = lu * lv
+                if not spinor:
+                    if bound < _INT64_SAFE_BOUND:
+                        product_paths["int64"] += 1
+                        product_pairs["int64"] += pairs
+                        out = _accel.product_dense(ia, va, ib, vb, sig.neg_mask, sig.n, exterior=exterior)
+                        return _from_arrays(sig, *_accel.nonzero(out))
+                elif _spinor_exact(sig, bound):
                     product_paths["spinor"] += 1
                     product_pairs["spinor"] += pairs
-                    return _resident(sig, _matrix(u) @ _matrix(v), a[3] * b[3])
-                x = _exact_operand(u, a)
-                y = x and _exact_operand(v, v._int64())
-                if y and x[2] * y[2] < _accel.RESIDUE_LIMIT:
+                    return _resident(sig, _matrix(u) @ _matrix(v), bound)
+                elif bound < _accel.RESIDUE_LIMIT:
                     product_paths["residue"] += 1
                     product_pairs["residue"] += pairs
-                    out = _accel.product_residue(x[0], x[1], y[0], y[1], sig.neg_mask, sig.n, x[2] * y[2])
+                    out = _accel.product_residue(ia, va, ib, vb, sig.neg_mask, sig.n, bound)
                     if out.dtype == object:  # Python ints once the bound reaches 2^62
                         return u._make(sig, _accel.dense_coeffs(out))
-                    return _from_arrays(sig, *_accel.nonzero(out))
-            elif b:
-                (ia, va, ma, _), (ib, vb, mb, _) = a, b
-                if ma * mb * min(len(ia), len(ib)) < _INT64_SAFE_BOUND:
-                    product_paths["int64"] += 1
-                    product_pairs["int64"] += pairs
-                    out = _accel.product_dense(ia, va, ib, vb, sig.neg_mask, sig.n, exterior=exterior)
                     return _from_arrays(sig, *_accel.nonzero(out))
     product_paths["sparse"] += 1
     product_pairs["sparse"] += pairs
@@ -391,11 +375,13 @@ class _MultivectorBase:
     the float route of the products: spinor matrices past the threshold,
     with no exactness gate, and the sparse path below it.
 
-    ``_coeffs`` is the coefficient dict, ``_arr`` the int64 form and
+    ``_coeffs`` is the coefficient dict, ``_arr`` the array form and
     ``_spin`` the spinor form (see the module docstring).  ``_arr`` is
     ``None`` until a dense product asks for it, then
-    ``(blades, values, max |v|, Σ |v|)``, the last two exact ints, or
-    ``False`` when some value is not an int64.  ``_spin`` is ``None``
+    ``(blades, values, Σ |v|)`` with int64 blades and Σ |v| an exact int,
+    or ``False`` when some value is a Fraction.  The values are int64
+    while Σ |v| < 2^62, and Python ints in an object array from there,
+    which only the residue route reads.  ``_spin`` is ``None``
     until the spinor route asks for it, then ``(matrix, L)``, L >= Σ |v|
     and exactly Σ |v| once the arrays exist.  An array-born value starts
     with ``_coeffs = None`` and builds the dict on its first :meth:`_dict`;
@@ -448,9 +434,9 @@ class _MultivectorBase:
                 sig, m = self.sig, self._spin[0]
                 out = _accel.from_spinor(m, sig.neg_mask, sig.n).astype("int64")
                 arr = _accel.int_slot(*_accel.nonzero(out))
-                self._spin = (m, arr[3])
+                self._spin = (m, arr[2])
             else:
-                arr = _dict_arrays(c)
+                arr = _accel.dict_slot(c)
             self._arr = arr
         return arr
 
@@ -484,7 +470,8 @@ class _MultivectorBase:
     def max_abs(self):
         c = self._coeffs
         if c is None:
-            return self._int64()[2]
+            values = self._int64()[1]
+            return max(int(values.max()), -int(values.min())) if len(values) else 0
         return max(map(abs, c.values()), default=self._zero)
 
     def __len__(self) -> int:
@@ -574,16 +561,23 @@ class _MultivectorBase:
 
 
 def _power(u, m: int, mul):
-    """u**m under the geometric (``operator.mul``) or exterior (``operator.xor``) product, by squaring."""
+    """u**m under the geometric (``operator.mul``) or exterior (``operator.xor``) product, by squaring.
+
+    The result starts from the square at m's lowest set bit, never from the unit:
+    m >= 1 takes bit_length(m) - 1 squarings and popcount(m) - 1 other products.
+    """
     if not isinstance(m, int) or m < 0:
         raise ValueError("exponent must be a nonnegative integer")
-    result = u._make(u.sig, {0: u._one})
-    while m:
+    if not m:
+        return u._make(u.sig, {0: u._one})
+    while not m & 1:
+        u = mul(u, u)
+        m >>= 1
+    result = u
+    while m := m >> 1:
+        u = mul(u, u)
         if m & 1:
             result = mul(result, u)
-        m >>= 1
-        if m:
-            u = mul(u, u)
     return result
 
 
@@ -682,14 +676,17 @@ def sample_blades(
     Raises ``ValueError`` when ``lo > hi``.
 
     A draw of at least ``_CHUNKED_DRAW_MIN_BLADES`` blades with k <= 32
-    takes its words in chunks (:func:`quatype._accel.draw`) and is array-born.
+    and max(|lo|, |hi|) 2^n < 2^62, which keeps its ℓ1 norm below 2^62,
+    takes its words in chunks (:func:`quatype._accel.draw`) and is
+    array-born.  Either way the values and the generator's state afterwards
+    are the same.
     """
     width = hi - lo + 1
     if width <= 0:
         raise ValueError(f"empty range for a coefficient draw: [{lo}, {hi}]")
     k = width.bit_length()
     # only an algebra of that many blades can hold a draw that large
-    if 1 << sig.n >= _CHUNKED_DRAW_MIN_BLADES and k <= 32 and -_INT64_SAFE_BOUND < lo <= hi < _INT64_SAFE_BOUND:
+    if 1 << sig.n >= _CHUNKED_DRAW_MIN_BLADES and k <= 32 and max(-lo, hi) << sig.n < _INT64_SAFE_BOUND:
         blade_groups = tuple(blade_groups)
         if sum(map(len, blade_groups)) >= _CHUNKED_DRAW_MIN_BLADES:
             return _from_arrays(sig, *_accel.draw(rng, blade_groups, lo, hi, width, k))

@@ -522,11 +522,11 @@ def test_array_born_values_agree_with_dict_born(n, p, seed, how_u, how_v):
 
 
 def test_array_born_sums_past_the_int64_bound_stay_exact():
-    # a sum of array-born values whose max |v| add up to 2^62 or more leaves the arrays
+    # a sum of array-born values whose ℓ1 norms add up to 2^62 or more leaves the arrays
     sig = Signature(8, 0)
-    big = 3 << 60
+    big = 1 << 53
     u = random_multivector(sig, random.Random(0), lo=big, hi=big)
-    assert u._coeffs is None and u.max_abs() == big
+    assert u._coeffs is None and u.max_abs() == big and u._int64()[2] == 1 << 61
     twice, four = u + u, u + u + u + u
     assert twice._coeffs is not None and twice == Multivector(sig, {b: 2 * big for b in range(256)})
     assert four - u == Multivector(sig, {b: 3 * big for b in range(256)}) and (-four).max_abs() == 4 * big

@@ -303,8 +303,8 @@ def test_a_value_converts_to_arrays_at_most_once(op, path, monkeypatch):
     sig = Signature(4, 4)
     u = _full(sig, random.Random(48))
     converted = []
-    dict_arrays = algebra._dict_arrays
-    monkeypatch.setattr(algebra, "_dict_arrays", lambda coeffs: converted.append(coeffs) or dict_arrays(coeffs))
+    dict_slot = _accel.dict_slot
+    monkeypatch.setattr(_accel, "dict_slot", lambda coeffs: converted.append(coeffs) or dict_slot(coeffs))
     monkeypatch.setattr(algebra, "product_paths", Counter())
     square = op(u, u)
     assert len(converted) == 1 and algebra.product_paths == Counter({path: 1})
@@ -321,7 +321,7 @@ def test_products_of_dense_results_convert_nothing(monkeypatch):
     u, v = _full(sig, rng), _full(sig, rng)
     a, b = u * v, u ^ v
     assert a._coeffs is None and b._coeffs is None
-    monkeypatch.setattr(algebra, "_dict_arrays", lambda coeffs: pytest.fail("converted a dict"))
+    monkeypatch.setattr(_accel, "dict_slot", lambda coeffs: pytest.fail("converted a dict"))
     monkeypatch.setattr(algebra, "product_paths", Counter())
     results = [a * b, a ^ b, (a + b) * a, (-a) ^ b, (a - b) * b]
     assert algebra.product_paths == Counter(spinor=3, int64=2)
@@ -480,9 +480,101 @@ def test_values_past_the_int64_bound_take_residue_or_sparse(big, exterior, monke
 def test_int64_bounds_are_exact(values):
     # Σ |v| past int64, and |-2^63|, which int64 cannot hold, come out exact
     u = Multivector(Signature(6, 0), dict(enumerate(values)))
-    _, _, m, total = u._int64()
+    _, _, total = u._int64()
+    m = u.max_abs()
     assert (type(m), type(total)) == (int, int)
     assert (m, total) == (max(map(abs, values)), sum(map(abs, values)))
+
+
+def _split_norm(sig, rng, blades, total):
+    """A dict-born value on ``blades`` blades of ``sig``: ±1 on all but one, and ℓ1 norm ``total``."""
+    chosen = rng.sample(range(1 << sig.n), blades)
+    coeffs = {b: rng.choice((-1, 1)) for b in chosen[1:]}
+    coeffs[chosen[0]] = rng.choice((-1, 1)) * (total - blades + 1)
+    return coeffs
+
+
+@pytest.mark.parametrize("exterior", [False, True])
+@pytest.mark.parametrize("norms, path", [(((1 << 31) - 1, (1 << 31) + 1), "int64"), ((1 << 31, 1 << 31), "sparse")])
+def test_int64_gate_is_the_l1_product(norms, path, exterior, monkeypatch):
+    # 16 · 16 pairs at n = 6 pass the dense threshold and stay under the
+    # spinor one; (2^31 - 1)(2^31 + 1) = 2^62 - 1 runs int64, 2^31 2^31 = 2^62 sparse
+    monkeypatch.setattr(algebra, "product_paths", Counter())
+    sig = Signature(3, 3)
+    rng = random.Random(sum(norms) + exterior)
+    u, v = (_split_norm(sig, rng, 16, total) for total in norms)
+    assert algebra._DENSE_MIN_PAIRS <= 16 * 16 < algebra._SPINOR_MIN_PAIRS_PER_BLADE << sig.n
+    w = Multivector(sig, u) ^ Multivector(sig, v) if exterior else Multivector(sig, u) * Multivector(sig, v)
+    assert algebra.product_paths == Counter({path: 1})
+    assert (w._coeffs is None) == (path == "int64")
+    _assert_byte_equal(w, _mul_sparse(u, v, sig.neg_mask, exterior))
+
+
+@pytest.mark.parametrize("total, arrays", [((1 << 62) - 1, True), (1 << 62, False)])
+def test_array_sum_gate_is_the_l1_sum(total, arrays):
+    # array-born u and v with ‖u‖₁ + ‖v‖₁ = total: under 2^62 the sum stays
+    # in arrays, at 2^62 it leaves them for a dict
+    sig = Signature(4, 4)
+    rng = random.Random(total)
+    u, v = _split_norm(sig, rng, 100, 1 << 61), _split_norm(sig, rng, 120, total - (1 << 61))
+    a, b = (algebra._from_arrays(sig, *_accel.dict_slot(c)[:2]) for c in (u, v))
+    assert a._coeffs is None and b._coeffs is None and a._int64()[2] + b._int64()[2] == total
+    for w, reference in ((a + b, _ref_sum(u, v)), (a - b, _ref_sum(u, v, -1))):
+        assert (w._coeffs is None) == arrays
+        _assert_byte_equal(w, reference)
+
+
+@pytest.mark.parametrize("total, dtype", [((1 << 62) - 1, np.int64), (1 << 62, object)])
+def test_dict_slot_past_the_l1_bound_holds_python_ints(total, dtype, monkeypatch):
+    # every value fits int64 either way; from ‖v‖₁ = 2^62 the slot holds
+    # Python ints, and a spinor-sized product takes the residue route
+    monkeypatch.setattr(algebra, "product_paths", Counter())
+    sig = Signature(3, 3)
+    rng = random.Random(total)
+    u = {b: rng.choice((-1, 1)) * (total >> 6) for b in range(63)} | {63: total - 63 * (total >> 6)}
+    v = _full(sig, rng)._dict()
+    U = Multivector(sig, u)
+    blades, values, norm = U._int64()
+    assert values.dtype == dtype and norm == total and type(norm) is int
+    assert values.tolist() == list(u.values()) and blades.tolist() == list(u)
+    w = U * Multivector(sig, v)
+    assert algebra.product_paths == Counter(residue=1)
+    _assert_byte_equal(w, _mul_sparse(u, v, sig.neg_mask, False))
+
+
+def _array_born_results():
+    """Array-born values from every path that makes them, each with its norm near 2^62 where the path allows."""
+    sig = Signature(3, 3)
+    rng = random.Random(90)
+    u, v = (Multivector(sig, _split_norm(sig, rng, 16, t)) for t in ((1 << 31) - 1, (1 << 31) + 1))
+    a, b = (algebra._from_arrays(sig, *_accel.dict_slot(_split_norm(sig, rng, 32, t))[:2]) for t in (1 << 61, (1 << 61) - 1))
+    # residue: under 2^62, as in test_residue_results_past_2_62_come_back_as_python_ints
+    big = Signature(5, 3)
+    x = {0: (1 << 31) - 63} | {k: rng.choice((-1, 1)) for k in rng.sample(range(1, 256), 63)}
+    y = {0: (1 << 31) - 256} | {k: blade_product(big, k, k)[0] * x.get(k, rng.choice((-1, 1))) for k in range(1, 256)}
+    edge = (1 << 50) - 1
+    return {
+        "int64 product": u * v,
+        "int64 wedge": u ^ v,
+        "residue": Multivector(big, x) * Multivector(big, y),
+        "draw": random_multivector(Signature(12, 0), random.Random(91), lo=edge - 9, hi=edge),
+        "sum": a + b,
+        "difference": a - b,
+        "negation": -a,
+        "materialized": _full(big, rng) * _full(big, rng),
+    }
+
+
+@pytest.mark.parametrize("path", list(_array_born_results()))
+def test_array_born_values_keep_their_l1_norm_under_2_62(path):
+    w = _array_born_results()[path]
+    if path == "materialized":
+        assert _is_resident(w)
+        w._int64()
+    assert w._coeffs is None
+    blades, values, norm = w._arr
+    assert blades.dtype == values.dtype == np.int64 and not values.flags.writeable
+    assert type(norm) is int and norm == sum(map(abs, values.tolist())) < 1 << 62
 
 
 def _signatures(n):
@@ -639,14 +731,14 @@ def test_resident_bounds_are_rigorous(p, q, monkeypatch):
     sig = Signature(p, q)
     rng = random.Random(p + 75)
     u, v, w = _full(sig, rng), _full(sig, rng), _full(sig, rng)
-    lu, lv, lw = (x._int64()[3] for x in (u, v, w))
+    lu, lv, lw = (x._int64()[2] for x in (u, v, w))
     uv, vw = u * v, v * w
     values = uv, vw, uv * w, uv + vw, uv - w, -uv
     assert all(map(_is_resident, values))
     bounds = [x._spin[1] for x in values]
     assert bounds == [lu * lv, lv * lw, lu * lv * lw, lu * lv + lv * lw, lu * lv + lw, lu * lv]
     for x, bound in zip(values, bounds):
-        assert algebra._spinor_exact(sig, bound) and x._int64()[3] <= bound
+        assert algebra._spinor_exact(sig, bound) and x._int64()[2] <= bound
     # u^4 = u^2 u^2 passes the gate on no bound: ‖u^2‖₁ is near 2^40, and
     # its coefficients near 2^64 would come out rounded from one matrix product
     big = Multivector(sig, {b: rng.choice((-1, 1)) * ((1 << 12) + rng.randint(0, 9)) for b in range(1 << sig.n)})
@@ -677,12 +769,12 @@ def test_resident_gate_failing_on_bounds_retries_on_exact_norms(p, q, monkeypatc
     r = P + (other - P)
     assert _is_resident(P) and _is_resident(r)
     bound = r._spin[1]
-    assert not algebra._spinor_exact(sig, bound * s._int64()[3])
-    assert algebra._spinor_exact(sig, other._int64()[3] * s._int64()[3])
+    assert not algebra._spinor_exact(sig, bound * s._int64()[2])
+    assert algebra._spinor_exact(sig, other._int64()[2] * s._int64()[2])
     monkeypatch.setattr(algebra, "product_paths", Counter())
     w = r * s
     assert algebra.product_paths == Counter(spinor=1) and _is_resident(w)
-    assert r._arr is not None and r._spin[1] == other._int64()[3] < bound
+    assert r._arr is not None and r._spin[1] == other._int64()[2] < bound
     _assert_byte_equal(w, _mul_sparse(other._dict(), s._dict(), sig.neg_mask, False))
 
 
@@ -695,7 +787,7 @@ def test_resident_gate_failing_on_exact_norms_goes_to_residue(p, q, monkeypatch)
     monkeypatch.setattr(algebra, "product_paths", Counter())
     w = P * big
     assert algebra.product_paths == Counter(residue=1)
-    assert not algebra._spinor_exact(sig, P._spin[1] * big._int64()[3])
+    assert not algebra._spinor_exact(sig, P._spin[1] * big._int64()[2])
     reference = _mul_sparse(big._dict(), small._dict(), sig.neg_mask, False)
     _assert_byte_equal(w, _mul_sparse(reference, big._dict(), sig.neg_mask, False))
 
@@ -717,8 +809,9 @@ def _reader_cases():
         "wedge, sparse": lambda w: (w ^ generator).terms(),
         "wedge, int64": lambda w: (w ^ wide).terms(),
         "product, sparse": lambda w: (w * half).terms(),
-        # a 2^45 coefficient fails the gate on any bound, and 128 pairs are under the spinor threshold
-        "product, int64": lambda w: (w * (generator * (1 << 45))).terms(),
+        # a 2^40 coefficient fails the spinor gate on any bound but keeps ‖w‖₁ 2^40
+        # under 2^62, and 128 pairs are under the spinor threshold
+        "product, int64": lambda w: (w * (generator * (1 << 40))).terms(),
         "scaling": lambda w: (w * 3).terms(),
         "==": lambda w: w == Multivector(sig, dict(w.terms())),
         "str": str,

@@ -3,14 +3,17 @@ import math
 import random
 import time
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from quatype import algebra
 from quatype.algebra import (
     ApproxMultivector,
     Multivector,
     Signature,
+    _mul_sparse,
     blade_grade,
     ext_blade_product,
     random_multivector,
@@ -112,6 +115,27 @@ def test_ext_power_matches_ordered_oracle():
                     assert got == ext_power_ordered_oracle(u, m), (sig, k, m)
                     if k % 2 == 1 or m * k > n:
                         assert got == Multivector.zero(sig)
+
+
+@pytest.mark.parametrize("p, q, size", [(2, 1, 3), (2, 1, 8), (3, 3, 64)])
+def test_powers_start_from_the_base(p, q, size, monkeypatch):
+    # u**m and ext_power(u, m) equal m sparse products from the unit, and for
+    # m >= 1 run bit_length(m) - 1 squarings and popcount(m) - 1 other
+    # products, none of them by the unit; every operand has a nonzero scalar
+    # part, so no power is zero and every product is counted
+    sig = Signature(p, q)
+    rng = random.Random(size)
+    blades = [0] + rng.sample(range(1, 1 << sig.n), size - 1)
+    u = Multivector(sig, {b: rng.choice((-1, 1)) * rng.randint(1, 9) for b in blades})
+    for exterior, power in ((False, cl_power), (True, ext_power)):
+        reference = {0: 1}
+        for m in range(10):
+            monkeypatch.setattr(algebra, "product_paths", Counter())
+            w = power(u, m)
+            assert w == Multivector(sig, reference) and w.terms() == Multivector(sig, reference).terms(), (exterior, m)
+            expected = m.bit_length() - 1 + m.bit_count() - 1 if m else 0
+            assert sum(algebra.product_paths.values()) == expected, (exterior, m)
+            reference = _mul_sparse(reference, u._dict(), sig.neg_mask, exterior)
 
 
 def test_predict_ext_power():

@@ -456,6 +456,8 @@ def _randint_draw(rng, blade_groups, lo, hi):
 _CL31_ALL = (blades_of_grades(4, (0, 1, 2, 3, 4)),)
 _CL12_ALL = (blades_of_grades(12, tuple(range(13))),)
 _CL12 = Signature(12, 0)
+# 2^50 2^12 = 2^62, the bound on the ℓ1 norm of an array-born value; a draw of width 2^20 takes 21-bit words
+_EDGE, _SPAN = 1 << 50, 1 << 20
 
 
 @pytest.mark.parametrize(
@@ -491,6 +493,10 @@ _CL12 = Signature(12, 0)
         (lambda rng: random_multivector(_CL12, rng, lo=0, hi=0), _CL12_ALL, 0, 0, True),
         # a word of more than 32 bits is not one Mersenne Twister output
         (lambda rng: random_multivector(_CL12, rng, lo=-(1 << 32), hi=1 << 32), _CL12_ALL, -(1 << 32), 1 << 32, False),
+        # max(|lo|, |hi|) 2^12 just under 2^62 keeps the ℓ1 norm in int64; at 2^62 the draw is dict-born
+        (lambda rng: random_multivector(_CL12, rng, lo=_EDGE - _SPAN, hi=_EDGE - 1), _CL12_ALL, _EDGE - _SPAN, _EDGE - 1, True),
+        (lambda rng: random_multivector(_CL12, rng, lo=_EDGE - _SPAN + 1, hi=_EDGE), _CL12_ALL, _EDGE - _SPAN + 1, _EDGE, False),
+        (lambda rng: random_multivector(_CL12, rng, lo=-_EDGE, hi=_SPAN - _EDGE), _CL12_ALL, -_EDGE, _SPAN - _EDGE, False),
     ],
     ids=[
         "range-9..9",
@@ -502,6 +508,9 @@ _CL12 = Signature(12, 0)
         "Cl(12,0)-type-4-groups",
         "Cl(12,0)-range0..0-patched",
         "Cl(12,0)-range-past-32-bits",
+        "Cl(12,0)-l1-under-2^62",
+        "Cl(12,0)-l1-at-2^62",
+        "Cl(12,0)-negative-l1-at-2^62",
     ],
 )
 def test_sampler_draws_as_randint(draw, groups, lo, hi, chunked):
