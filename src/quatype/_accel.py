@@ -12,20 +12,22 @@ coefficients to (blade, value) arrays and scatter-adds every blade-pair
 contribution of the geometric or exterior product into a dense length-2^n
 int64 output.  It reads its signs off the sign rule of
 :func:`quatype.algebra.sign_word`, e_a e_b = (-1)^popcount(w(a) & b)
-e_{a^b}, with w of all 2^n blades taken from :func:`sign_form`, built on
-first use and cached per signature.
+e_{a^b}, w(a) = L(a) ^ (a & neg_mask).  The reordering word L of all 2^n
+blades is the same in every signature: :func:`sign_form` builds it on
+first use and caches it per n, and a geometric product adds the metric
+term a & neg_mask.
 
 The Jordan–Wigner spinor representation (Lounesto, *Clifford Algebras and
 Spinors*, 2001) maps Cl faithfully into complex d x d matrices, d =
 2^ceil(n/2).  Each blade's matrix is a signed Pauli string, fixed by two
 d-bit masks and a phase i^k, so a multivector goes there and back by one
-d x d matrix product.  :func:`spinor_table`, cached per signature, holds
-everything a conversion reads: the masks, the phases i^k, the sign
-matrix and the cell index (built from :func:`spinor_form`, cached per n,
-and :func:`spinor_phase`, the exponents k of a signature).  The Clifford
-series run there in float64 (:func:`spinor_series`).  A geometric product
-there is one complex128 matrix product: O(2^1.5n) work in place of the
-kernel's O(4^n) blade pairs.  Float operands take it whole
+d x d matrix product.  :func:`spinor_table` holds everything a conversion
+reads: the masks, the sign matrix and the cell index, cached per n by
+:func:`spinor_form`, plus the one table a signature adds, its phases i^k
+as a complex64 vector.  The Clifford series run there in float64
+(:func:`spinor_series`).  A geometric product there is one complex128
+matrix product: O(2^1.5n) work in place of the kernel's O(4^n) blade
+pairs.  Float operands take it whole
 (:func:`product_float`).  Integer values keep their matrices, which
 :mod:`quatype.algebra` multiplies and adds, with no reduction, under an ℓ1
 bound that keeps every float an exact integer, and reads back once by
@@ -120,10 +122,10 @@ def grade_residues(blades: np.ndarray) -> list[int]:
 # blade-pair products
 
 
-@lru_cache(maxsize=64)
-def sign_form(n: int, neg_mask: int) -> np.ndarray:
-    """The vector w of the sign rule for Cl with n generators and ``neg_mask``."""
-    w = sign_word(np.arange(1 << n, dtype=np.int64), neg_mask)
+@lru_cache(maxsize=None)
+def sign_form(n: int) -> np.ndarray:
+    """The vector w of the sign rule for Cl(n,0), one entry per blade: the reordering word L of every signature."""
+    w = sign_word(np.arange(1 << n, dtype=np.int64), 0)
     w.flags.writeable = False
     return w
 
@@ -137,7 +139,10 @@ def product_dense(ia, va, ib, vb, neg_mask, n, exterior=False):
     order, ``CHUNK_PAIRS`` pairs at a time.
     """
     out = np.zeros(1 << n, dtype=np.int64)
-    wa = sign_form(n, neg_mask)[ia]
+    wa = sign_form(n)[ia]
+    # the metric term of sign_word; wedged pairs share no generator, so theirs is 0
+    if not exterior:
+        wa ^= ia & neg_mask
     rows = max(1, CHUNK_PAIRS // max(1, len(ib)))
     for lo in range(0, len(ia), rows):
         a = ia[lo : lo + rows, None]
@@ -164,7 +169,7 @@ def spinor_form(n: int) -> tuple[np.ndarray, ...]:
     (-1)^popcount(r & s) is the d x d sign matrix, complex so that the
     matrix products with it need no cast, and cells[x, r] is the
     flat index of entry (r, r ^ x) of a d x d matrix.  Only the phase
-    exponents k depend on the signature (:func:`spinor_phase`).
+    exponents k depend on the signature (:func:`spinor_table`).
     """
     d = 1 << ((n + 1) >> 1)
     x, z = np.zeros((2, 1 << n), dtype=np.int64)
@@ -189,32 +194,23 @@ def spinor_form(n: int) -> tuple[np.ndarray, ...]:
 
 
 # i^k, indexed by k
-_I_POWERS = np.array([1, 1j, -1, -1j])
+_I_POWERS = np.array([1, 1j, -1, -1j], dtype=np.complex64)
 
 
-def spinor_phase(n: int, neg_mask: int) -> np.ndarray:
-    """The phase exponents k of the Γ_b of Cl with n generators and ``neg_mask``: Γ_b's phase is i^k[b].
-
-    A generator that squares to -1 is i times its Cl(n,0) matrix, so k[b] is
-    the Cl(n,0) exponent plus popcount(b & neg_mask), mod 4.
-    """
-    k = spinor_form(n)[1]
-    if neg_mask:
-        k = (k + np.bitwise_count(np.arange(1 << n) & neg_mask).astype(np.uint8)) & 3
-        k.flags.writeable = False
-    return k
-
-
-@lru_cache(maxsize=64)
+# unbounded, like sign_form: 90 signatures have n <= 12, and each adds at most 32 KB
+@lru_cache(maxsize=None)
 def spinor_table(n: int, neg_mask: int) -> tuple[np.ndarray, ...]:
     """Everything a spinor conversion of Cl with n generators and ``neg_mask`` reads.
 
     Returns (xz, c, h, cells): the masks, sign matrix and cell index of
     :func:`spinor_form`, and each Γ_b's phase c[b] = i^k[b] as a complex64
-    vector (exact, and half the size).  Its inverse i^-k[b] is c[b]'s conjugate.
+    vector (exact, and half the size), the one table of a signature.  A
+    generator that squares to -1 is i times its Cl(n,0) matrix, so k[b] is
+    the Cl(n,0) exponent plus popcount(b & neg_mask), mod 4.  The inverse
+    phase i^-k[b] is c[b]'s conjugate.
     """
-    xz, _, h, cells = spinor_form(n)
-    c = _I_POWERS[spinor_phase(n, neg_mask)].astype(np.complex64)
+    xz, k, h, cells = spinor_form(n)
+    c = _I_POWERS[(k + np.bitwise_count(np.arange(1 << n) & neg_mask)) & 3]
     c.flags.writeable = False
     return xz, c, h, cells
 

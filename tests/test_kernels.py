@@ -56,6 +56,27 @@ def test_kernel_matches_blade_products_exhaustively():
                     assert ext[a ^ b] == sign * (b + 1), (sig, a, b)
 
 
+@pytest.mark.parametrize("n", range(5, 9))
+def test_one_sign_vector_serves_every_signature(n):
+    # sign_form holds the reordering word alone, so every Signature(p, n - p)
+    # reads the same vector and adds its metric term in the kernel
+    rng = random.Random(n)
+    w = _accel.sign_form(n)
+    for p in range(n + 1):
+        sig = Signature(p, n - p)
+        assert _accel.sign_form(sig.n) is w
+        # dense mixed-grade operands: most blades of every grade
+        u, v = (Multivector(sig, {b: rng.randint(-9, 9) for b in range(1 << n) if rng.random() < 0.8}) for _ in "uv")
+        ia, va = _arrays(u._dict(), np.int64)
+        ib, vb = _arrays(v._dict(), np.int64)
+        for exterior in (False, True):
+            out = _accel.product_dense(ia, va, ib, vb, sig.neg_mask, n, exterior=exterior)
+            want = np.zeros(1 << n, dtype=np.int64)
+            for b, c in _mul_sparse(u._dict(), v._dict(), sig.neg_mask, exterior).items():
+                want[b] = c
+            assert out.tobytes() == want.tobytes(), (sig, exterior)
+
+
 @pytest.mark.parametrize("exterior", [False, True])
 @pytest.mark.parametrize("dtype", [np.int64])
 def test_chunked_kernel_byte_equal(dtype, exterior, monkeypatch):
@@ -182,9 +203,13 @@ def test_spinor_matrices_multiply_like_blades_above_six(n):
 
 
 def test_spinor_tables_stay_small_at_n_12():
-    # one set of tables per n; a signature adds only its 2^12 phases
-    assert sum(t.nbytes for t in _accel.spinor_form(12)) < 1 << 20
-    assert _accel.spinor_phase(12, Signature(6, 6).neg_mask).nbytes <= 1 << 12
+    # one set of tables per n; a signature adds only its 2^12 complex64 phases
+    form = _accel.spinor_form(12)
+    assert sum(t.nbytes for t in form) < 1 << 20
+    for p in range(13):
+        xz, c, h, cells = _accel.spinor_table(12, Signature(p, 12 - p).neg_mask)
+        assert xz is form[0] and h is form[2] and cells is form[3]
+        assert c.nbytes == 8 << 12
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -210,7 +235,7 @@ def test_spinor_phase_factors_through_the_negative_generators(n):
         neg_mask = Signature(p, n - p).neg_mask
         c = phases(neg_mask)
         assert (c == base * np.array([1, 1j, -1, -1j])[np.bitwise_count(blades & neg_mask) & 3]).all(), p
-        assert (c == np.array([1, 1j, -1, -1j])[_accel.spinor_phase(n, neg_mask)]).all(), p
+        assert (c == _accel.spinor_table(n, neg_mask)[1]).all(), p
 
 
 def _full(sig, rng, lo=1, hi=9):
