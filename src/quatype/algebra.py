@@ -22,10 +22,13 @@ needs them.  An *array-born* value, which the int64 and residue products,
 large samples and sums of array-born values return, keeps read-only int64
 blade and value arrays with ‖v‖₁ < 2^62 and builds the dict, of Python ints
 in array order, only when something reads it.  Dict-born and array-born
-values give the same results, the same ``terms()`` and the same iteration
-order.  A *resident* value, which an exact spinor product returns, keeps
-only its read-only complex128 spinor matrix and a bound L >= ‖v‖₁ with
-2 d L < 2^53, d the spinor dimension.
+values give the same results and the same ``terms()``.  Their iteration
+orders need not agree: an int64 or residue product lists its blades
+ascending and the sparse loop in the order it first meets them, while draws
+and array sums keep the order the dict path gives.  A *resident* value,
+which an exact spinor product returns, keeps only its read-only complex128
+spinor matrix and a bound L >= ‖v‖₁ with 2 d L < 2^53, d the spinor
+dimension.
 Its first read (the dict, the arrays, ``len``, ``max_abs``, classification,
 a wedge, a product off the spinor route, a scaling) reads its coefficients
 off the matrix once, exactly, as arrays in ascending blade order, and
@@ -34,30 +37,33 @@ caches its matrix beside its other form.
 
 Every array operation lives in :mod:`quatype._accel`, which the package
 binds lazily: it loads, and numpy with it, on the first dense product,
-chunked draw or Clifford series.  Products of at least
-``_DENSE_MIN_PAIRS`` blade pairs may leave the sparse path for it.  A
-geometric product of at least ``_SPINOR_MIN_PAIRS_PER_BLADE`` pairs per
-blade of the algebra runs on spinor matrices.  With float operands it is
-one complex128 matrix product, with no gate since floats need no
-exactness; every other float product, and every float wedge, stays
-sparse.  With integer operands it runs there whatever the size of its
-coefficients: while 2 d ‖u‖₁ ‖v‖₁ < 2^53 as one complex128 matrix product,
-exact in floats, whose result stays resident; past that, as the same
-product mod a few primes, rebuilt by the Chinese remainder theorem, which
-returns Python ints once ‖u‖₁ ‖v‖₁ reaches 2^62.  A geometric product with
-a resident operand is one matrix product while 2 d L_u L_v < 2^53, a sum
-with a resident operand stays resident while 2 d (L_u + L_v) < 2^53, and
-so does a negation; past the gate both operands materialize and take the
-route their exact norms give.  Any other integer product with
-‖u‖₁ ‖v‖₁ < 2^62 runs on the int64 blade-pair kernel, and a sum of two
-array operands with ‖u‖₁ + ‖v‖₁ < 2^62 stays in arrays: the ℓ1 norm is the
-one bound every exact route reads.  The sparse path is the reference
-implementation; it runs small products, products with Fraction
-coefficients, and the wedges and smaller geometric products past that
-bound.  ``product_paths`` counts the products each path ran and
-``product_pairs`` the blade pairs they multiplied, both keyed ``sparse``,
-``int64``, ``float64`` (the float spinor products), ``spinor`` and
-``residue``; a spinor product with a resident operand adds no pairs,
+chunked draw or Clifford series.  A product takes one of three routes:
+
+- the spinor route, for a geometric product with a resident operand or of
+  at least max(``_DENSE_MIN_PAIRS``, ``_SPINOR_MIN_PAIRS_PER_BLADE`` 2^n)
+  blade pairs.  Float operands run there as one complex128 matrix product,
+  with no gate since floats need no exactness.  Integer operands run there
+  whatever the size of their coefficients: while 2 d ‖u‖₁ ‖v‖₁ < 2^53 (the
+  bounds L in place of the norms of resident operands) as one complex128
+  matrix product, exact in floats, whose result stays resident; past that,
+  as the same product mod a few primes, rebuilt by the Chinese remainder
+  theorem, which returns Python ints once ‖u‖₁ ‖v‖₁ reaches 2^62.  A
+  resident operand that fails the gate on its bound, or meets a Fraction,
+  materializes with the other operand, and the product is routed again on
+  their exact norms;
+- the int64 blade-pair kernel, for any other integer product of at least
+  ``_DENSE_MIN_PAIRS`` pairs with ‖u‖₁ ‖v‖₁ < 2^62;
+- the sparse loop, the reference implementation, for the rest: small
+  products, Fraction coefficients, float products and wedges off the
+  spinor route, and integer products past both gates.
+
+A sum with a resident operand stays resident while 2 d (L_u + L_v) < 2^53,
+and so does a negation, and a sum of two array operands with
+‖u‖₁ + ‖v‖₁ < 2^62 stays in arrays: the ℓ1 norm is the one bound every
+exact route reads.  ``product_paths`` counts the products each route ran
+and ``product_pairs`` the blade pairs they multiplied, both keyed
+``sparse``, ``int64``, ``float64`` (the float spinor products), ``spinor``
+and ``residue``; a spinor product with a resident operand adds no pairs,
 since its blade count is not known.
 """
 
@@ -79,11 +85,14 @@ MAX_DIMENSION = 12
 Coeff = Union[int, Fraction]
 
 # dense dispatch: below this many blade pairs the sparse dict loop wins.
-# Timed on dict-born operands, their array conversion counted, at 64 pairs
-# the sparse loop takes 14-23 µs and the int64 route 26-37 µs at n = 4, 5, 8
-# and 12; geometric products tie at about 128 pairs (96 to 128 at n = 8),
-# and wedges stay 2-4x faster on the sparse loop up to 160 pairs
-_DENSE_MIN_PAIRS = 64
+# Timed on dict-born ±1..9 operands of random blades, their array conversion
+# counted (n = 4, 5, 8 and 12, best of 15 x 200 calls, two runs), a geometric
+# product takes 15-38 µs sparse against 25-58 µs on the int64 route at 64
+# pairs and 20-54 against 25-59 at 96, is level at 128 (26-67 against 28-60)
+# and behind from 160 on.  A wedge of 64 to 256 pairs ran faster sparse in 46
+# of 48 timings (8-51 µs against 27-65 µs): overlapping pairs cost the sparse
+# loop almost nothing
+_DENSE_MIN_PAIRS = 128
 # the int64 kernel, array sums and array-born values keep every ℓ1 norm, and
 # with it every partial sum, under this
 _INT64_SAFE_BOUND = 1 << 62
@@ -316,52 +325,52 @@ def _matrix(u):
 
 
 def _product(u, v, exterior: bool):
-    """u v, or u ∧ v with ``exterior``: two multivectors of one signature and class."""
+    """u v, or u ∧ v with ``exterior``: two multivectors of one signature and class.
+
+    One decision with three outcomes: the spinor route, the int64 kernel or
+    the sparse loop, as the module docstring sets out.
+    """
     sig = u.sig
     ca, cb = u._coeffs, v._coeffs
-    if not exterior and (ca is None and u._arr is None or cb is None and v._arr is None):
-        # a resident operand: one matrix product while the bounds pass the gate
-        lu, lv = _bound(u), _bound(v)
-        if lu is not None and lv is not None and _spinor_exact(sig, lu * lv):
-            product_paths["spinor"] += 1
-            return _resident(sig, _matrix(u) @ _matrix(v), lu * lv)
-    pairs = (len(u._int64()[0]) if ca is None else len(ca)) * (len(v._int64()[0]) if cb is None else len(cb))
-    if not pairs:
+    resident = not exterior and (ca is None and u._arr is None or cb is None and v._arr is None)
+    # a resident operand's blade count is not known
+    pairs = 0 if resident else (len(u._int64()[0]) if ca is None else len(ca)) * (len(v._int64()[0]) if cb is None else len(cb))
+    if not pairs and not resident:
         return u._make(sig, {})
-    if pairs >= _DENSE_MIN_PAIRS:
-        spinor = not exterior and pairs >= _SPINOR_MIN_PAIRS_PER_BLADE << sig.n
+    w = None
+    if resident or pairs >= _DENSE_MIN_PAIRS and not exterior and pairs >= _SPINOR_MIN_PAIRS_PER_BLADE << sig.n:
         if u._approx:
-            # floats need no exactness, so no gate; every other float product stays sparse
-            if spinor:
-                product_paths["float64"] += 1
-                product_pairs["float64"] += pairs
-                return u._make(sig, _accel.product_float(ca, cb, sig.neg_mask, sig.n))
+            # floats need no exactness, so no gate
+            path, w = "float64", u._make(sig, _accel.product_float(ca, cb, sig.neg_mask, sig.n))
         else:
-            a = u._int64()
-            b = a and v._int64()
-            if b:
-                (ia, va, lu), (ib, vb, lv) = a, b
-                bound = lu * lv
-                if not spinor:
-                    if bound < _INT64_SAFE_BOUND:
-                        product_paths["int64"] += 1
-                        product_pairs["int64"] += pairs
-                        out = _accel.product_dense(ia, va, ib, vb, sig.neg_mask, sig.n, exterior=exterior)
-                        return _from_arrays(sig, *_accel.nonzero(out))
-                elif _spinor_exact(sig, bound):
-                    product_paths["spinor"] += 1
-                    product_pairs["spinor"] += pairs
-                    return _resident(sig, _matrix(u) @ _matrix(v), bound)
-                elif bound < _accel.RESIDUE_LIMIT:
-                    product_paths["residue"] += 1
-                    product_pairs["residue"] += pairs
-                    out = _accel.product_residue(ia, va, ib, vb, sig.neg_mask, sig.n, bound)
-                    if out.dtype == object:  # Python ints once the bound reaches 2^62
-                        return u._make(sig, _accel.dense_coeffs(out))
-                    return _from_arrays(sig, *_accel.nonzero(out))
-    product_paths["sparse"] += 1
-    product_pairs["sparse"] += pairs
-    return u._make(sig, _mul_sparse(ca or u._dict(), cb or v._dict(), sig.neg_mask, exterior))
+            lu = _bound(u)
+            bound = None if lu is None or (lv := _bound(v)) is None else lu * lv
+            if bound is not None and _spinor_exact(sig, bound):
+                path, w = "spinor", _resident(sig, _matrix(u) @ _matrix(v), bound)
+            elif resident:
+                # past the gate on bounds, or beside a Fraction: both operands
+                # materialize and take the route their exact norms give
+                u._int64(), v._int64()
+                return _product(u, v, exterior)
+            elif bound is not None and bound < _accel.RESIDUE_LIMIT:
+                (ia, va, _), (ib, vb, _) = u._int64(), v._int64()
+                out = _accel.product_residue(ia, va, ib, vb, sig.neg_mask, sig.n, bound)
+                path = "residue"
+                if out.dtype == object:  # Python ints once the bound reaches 2^62
+                    w = u._make(sig, _accel.dense_coeffs(out))
+                else:
+                    w = _from_arrays(sig, *_accel.nonzero(out))
+    elif pairs >= _DENSE_MIN_PAIRS and not u._approx:
+        a = u._int64()
+        b = a and v._int64()
+        if b and a[2] * b[2] < _INT64_SAFE_BOUND:
+            out = _accel.product_dense(a[0], a[1], b[0], b[1], sig.neg_mask, sig.n, exterior=exterior)
+            path, w = "int64", _from_arrays(sig, *_accel.nonzero(out))
+    if w is None:
+        path, w = "sparse", u._make(sig, _mul_sparse(ca or u._dict(), cb or v._dict(), sig.neg_mask, exterior))
+    product_paths[path] += 1
+    product_pairs[path] += pairs
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -479,10 +488,6 @@ class _MultivectorBase:
     def __len__(self) -> int:
         c = self._coeffs
         return len(self._int64()[0]) if c is None else len(c)
-
-    def __bool__(self) -> bool:
-        c = self._coeffs
-        return bool(len(self._int64()[0])) if c is None else bool(c)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, type(self)):

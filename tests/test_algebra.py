@@ -1,4 +1,5 @@
 import json
+import math
 import operator
 import random
 from fractions import Fraction
@@ -469,8 +470,10 @@ def _array_born(sig, rng, how):
     """A large sample, or a dense geometric or exterior product of two dict-born values (a geometric one may be resident)."""
     if how == "sample" and 1 << sig.n >= algebra._CHUNKED_DRAW_MIN_BLADES:
         return random_multivector(sig, rng)
+    # at least lo blades each, so a product has at least _DENSE_MIN_PAIRS pairs and leaves the sparse loop
+    lo = math.isqrt(algebra._DENSE_MIN_PAIRS - 1) + 1
     a, b = (
-        Multivector(sig, {x: rng.choice((-1, 1)) * rng.randint(1, 9) for x in rng.sample(range(1 << sig.n), rng.randint(8, 48))})
+        Multivector(sig, {x: rng.choice((-1, 1)) * rng.randint(1, 9) for x in rng.sample(range(1 << sig.n), rng.randint(lo, 48))})
         for _ in range(2)
     )
     return a ^ b if how == "wedge" else a * b

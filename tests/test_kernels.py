@@ -78,13 +78,12 @@ def test_one_sign_vector_serves_every_signature(n):
 
 
 @pytest.mark.parametrize("exterior", [False, True])
-@pytest.mark.parametrize("dtype", [np.int64])
-def test_chunked_kernel_byte_equal(dtype, exterior, monkeypatch):
+def test_chunked_kernel_byte_equal(exterior, monkeypatch):
     rng = np.random.default_rng(11)
     n, neg_mask = 6, 0b110000
     ia = rng.permutation(1 << n)[:45].astype(np.int64)
     ib = rng.permutation(1 << n)[:37].astype(np.int64)
-    va, vb = rng.integers(-9, 10, 45, dtype=dtype), rng.integers(-9, 10, 37, dtype=dtype)
+    va, vb = rng.integers(-9, 10, 45, dtype=np.int64), rng.integers(-9, 10, 37, dtype=np.int64)
     monkeypatch.setattr(_accel, "CHUNK_PAIRS", 1 << 30)
     whole = _accel.product_dense(ia, va, ib, vb, neg_mask, n, exterior=exterior)
     # 37 pairs a row: chunks of 1, 1, 2 (short last chunk) and 3 rows
@@ -95,14 +94,14 @@ def test_chunked_kernel_byte_equal(dtype, exterior, monkeypatch):
         assert chunked.tobytes() == whole.tobytes(), chunk
 
 
-# "numpy" forces every product onto the dense kernel, "python" onto the sparse
-# dict path; both must agree with the sparse reference term for term
-@pytest.mark.parametrize("forced", ["numpy", "python"])
-def test_products_identical_across_backends(forced, monkeypatch):
+# "dense" lets every product leave the sparse dict path, "sparse" keeps them
+# all on it; both must agree with the sparse reference term for term
+@pytest.mark.parametrize("forced", ["dense", "sparse"])
+def test_products_identical_at_either_dense_threshold(forced, monkeypatch):
     rng = random.Random(3)
     sig = Signature(3, 3)
     pairs = [(random_multivector(sig, rng), random_multivector(sig, rng)) for _ in range(10)]
-    threshold = {"numpy": 0, "python": 1 << 62}[forced]
+    threshold = {"dense": 0, "sparse": 1 << 62}[forced]
     monkeypatch.setattr(algebra, "_DENSE_MIN_PAIRS", threshold)
     for u, v in pairs:
         for exterior, product in ((False, u * v), (True, u ^ v)):
@@ -136,10 +135,10 @@ def test_integral_fraction_sums_reach_the_int64_kernel(monkeypatch):
 
     monkeypatch.setattr(_accel, "product_dense", recording)
     rng = random.Random(8)
-    sig = Signature(4, 0)
-    # 11 blades of grades 0 to 2: 121 pairs, past the dense threshold and
+    sig = Signature(5, 0)
+    # 15 blades of grades 1 and 2: 225 pairs, past the dense threshold and
     # under the spinor one
-    u = random_multivector(sig, rng, grades=(0, 1, 2), lo=1, hi=9)
+    u = random_multivector(sig, rng, grades=(1, 2), lo=1, hi=9)
     half = u * Fraction(1, 2)
     whole = half + half
     assert whole == u and algebra._DENSE_MIN_PAIRS <= len(whole) * len(u) < algebra._SPINOR_MIN_PAIRS_PER_BLADE << sig.n
@@ -357,7 +356,8 @@ def test_products_of_dense_results_convert_nothing(monkeypatch):
 
 
 def test_large_wedges_stay_on_the_int64_kernel(monkeypatch):
-    # the spinor path computes geometric products only
+    # the spinor path computes geometric products only, so a resident
+    # operand of a wedge materializes and the wedge routes by its pairs
     monkeypatch.setattr(algebra, "product_paths", Counter())
     sig = Signature(4, 4)
     rng = random.Random(44)
@@ -365,22 +365,37 @@ def test_large_wedges_stay_on_the_int64_kernel(monkeypatch):
     w = u ^ v
     assert algebra.product_paths == Counter(int64=1)
     _assert_byte_equal(w, _mul_sparse(u._dict(), v._dict(), sig.neg_mask, True))
+    uv = u * v
+    assert _is_resident(uv)
+    w = uv ^ v
+    assert algebra.product_paths == Counter(int64=2, spinor=1)
+    uv_ref = _mul_sparse(u._dict(), v._dict(), sig.neg_mask, False)
+    _assert_byte_equal(w, _mul_sparse(uv_ref, v._dict(), sig.neg_mask, True))
 
 
 @pytest.mark.parametrize("exterior", [False, True])
-@pytest.mark.parametrize("side", [0, 1])
-def test_fraction_coefficients_stay_on_the_sparse_path(side, exterior, monkeypatch):
+@pytest.mark.parametrize(
+    "side, resident", [(0, False), (1, False), (0, True), (1, True)], ids=["0", "1", "0-resident", "1-resident"]
+)
+def test_fraction_coefficients_stay_on_the_sparse_path(side, resident, exterior, monkeypatch):
     # np.fromiter turns Fraction(1, 2) into the int64 0 without an error, so
     # one non-integral coefficient must keep a product of 64 · 64 blade pairs,
-    # past both the int64 and the spinor thresholds at n = 6, on the sparse path
+    # past both the int64 and the spinor thresholds at n = 6, on the sparse
+    # path; with ``resident`` the other operand is a resident product, which
+    # materializes first
     monkeypatch.setattr(algebra, "product_paths", Counter())
     sig = Signature(4, 2)
     rng = random.Random(6 + 2 * side + exterior)
     ops = [_full(sig, rng)._dict(), _full(sig, rng)._dict()]
     ops[side][rng.randrange(1 << sig.n)] = Fraction(1, 2)
     u, v = (Multivector(sig, c) for c in ops)
+    if resident:
+        a, b = _full(sig, rng), _full(sig, rng)
+        ops[1 - side] = _mul_sparse(a._dict(), b._dict(), sig.neg_mask, False)
+        u, v = (u, a * b) if side == 0 else (a * b, v)
+        assert _is_resident((u, v)[1 - side])
     w = u ^ v if exterior else u * v
-    assert algebra.product_paths == Counter(sparse=1)
+    assert algebra.product_paths == Counter(sparse=1, spinor=int(resident))
     _assert_byte_equal(w, _mul_sparse(ops[0], ops[1], sig.neg_mask, exterior))
 
 
