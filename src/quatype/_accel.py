@@ -350,11 +350,21 @@ def product_residue(ia, va, ib, vb, neg_mask, n, bound):
 # Clifford series
 
 
-# Taylor degree of the (even, odd) pair in Y = ±X^2; at the ∞-norm 1/2 that
-# X is scaled to, the first omitted term, 0.5^16 / 16!, is below 1e-18
-_SERIES_DEGREE = 7
-# row 0 sums the even series in Y, row 1 the odd one (before its factor X)
-_PAIR = np.array([[1 / math.factorial(2 * k + odd) for k in range(_SERIES_DEGREE + 1)] for odd in (0, 1)])
+# Paterson–Stockmeyer block of the (even, odd) Taylor pair in Y = ±X^2: the
+# pair is summed to degree _PS_BLOCK^2 - 1 = 15 in Y, 31 in X, as _PS_BLOCK
+# blocks of _PS_BLOCK terms each.  X is scaled to ∞-norm below 4, where the
+# first omitted term, at most 4^32 / 32! ≈ 7.0e-17, is below 2^-53.  The
+# powers in spinor_series are built for a block of 4
+_PS_BLOCK = 4
+# row 2j + odd holds block j of the even (odd = 0) or odd series (before its
+# factor X): the coefficients 1 / (2k + odd)! of Y^k, k = 4j .. 4j + 3
+_PS_COEFFS = np.array(
+    [
+        [1 / math.factorial(2 * (_PS_BLOCK * j + i) + odd) for i in range(_PS_BLOCK)]
+        for j in range(_PS_BLOCK)
+        for odd in (0, 1)
+    ]
+)
 
 
 def spinor_series(coeffs: dict, neg_mask: int, n: int, parities: tuple[int, ...], trig: bool) -> dict:
@@ -362,28 +372,37 @@ def spinor_series(coeffs: dict, neg_mask: int, n: int, parities: tuple[int, ...]
 
     ``parities`` and ``trig`` are the function's rule (see
     :func:`quatype.qtypes.series_rule`).  u maps to its spinor matrix X,
-    scaled by 2^-s to ∞-norm at most 1/2.  The even/odd Taylor pair (cosh,
+    scaled by 2^-s to ∞-norm below 4.  The even/odd Taylor pair (cosh,
     sinh) of the scaled X, or (cos, sin), is summed in Y = X^2 (or -X^2) to
-    a fixed degree and doubled s times, (C, S) -> (C^2 ± S^2, 2 C S); exp
-    squares C + S s times, the same doubling summed.  The coefficients come
-    back as Re tr(Γ_bᴴ F) / d.  A non-finite coefficient in u, or an
-    overflow, gives non-finite results.
+    degree 15 by Paterson–Stockmeyer (SIAM J. Comput. 1973): the powers Y
+    to Y^4, one matrix product for all eight 4-term blocks of both series,
+    and three Horner steps H <- H Y^4 + B_j on the pair.  It is doubled s
+    times, (C, S) -> (C^2 ± S^2, 2 C S); exp squares C + S s times, the same
+    doubling summed.  The coefficients come back as Re tr(Γ_bᴴ F) / d.  A
+    non-finite coefficient in u, or an overflow, gives non-finite results.
     """
     # non-finite values only pass through to the result; numpy's warnings
     # would repeat what classify reports
     with np.errstate(over="ignore", invalid="ignore"):
         x = to_spinor(*float_arrays(coeffs), neg_mask, n)
-        # 2^steps >= 2 ‖X‖∞; frexp(inf or nan) has exponent 0, so such an X is not scaled
-        steps = max(0, math.frexp(2 * np.abs(x).sum(axis=1).max())[1])
+        # 2^steps > ‖X‖∞ / 4; frexp(inf or nan) has exponent 0, so such an X is not scaled
+        steps = max(0, math.frexp(np.abs(x).sum(axis=1).max() / 4)[1])
         x *= 0.5**steps
         d = len(x)
-        powers = np.empty((_SERIES_DEGREE + 1, d, d), dtype=np.complex128)
+        # I, Y, Y^2, Y^3, Y^4; a stack of two d x d matrices is multiplied as
+        # one 2d x d matrix, one matrix product in place of two
+        powers = np.empty((_PS_BLOCK + 1, d, d), dtype=np.complex128)
         powers[0] = np.eye(d)
         np.matmul(x, -x if trig else x, out=powers[1])
-        for k in range(1, _SERIES_DEGREE):
-            np.matmul(powers[k], powers[1], out=powers[k + 1])
-        c, s = (_PAIR @ powers.reshape(_SERIES_DEGREE + 1, d * d)).reshape(2, d, d)
-        s = x @ s
+        np.matmul(powers[1], powers[1], out=powers[2])
+        np.matmul(powers[1:3].reshape(2 * d, d), powers[2], out=powers[3:].reshape(2 * d, d))
+        # block j of the pair: its even rows over its odd ones
+        blocks = (_PS_COEFFS @ powers[:_PS_BLOCK].reshape(_PS_BLOCK, d * d)).reshape(_PS_BLOCK, 2 * d, d)
+        h = blocks[-1]
+        for b in blocks[-2::-1]:
+            h = h @ powers[_PS_BLOCK]
+            h += b
+        c, s = h[:d], x @ h[d:]
         if len(parities) == 2:
             # exp: C' + S' = (C + S)^2: summed before doubling, so an eigenvalue
             # with a large negative real part does not cancel in cosh + sinh

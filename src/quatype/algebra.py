@@ -10,11 +10,13 @@ share one class body and differ only in their coefficient domain.
 
 All values are immutable after construction and every operation is a pure
 function.  Validation happens at the public boundary only: ``__init__``,
-:func:`from_obj`, ``from_exact`` and multiplication by a scalar check every
-blade and coefficient.  Arithmetic results, projections and the typed
-samplers are built by the trusted ``_make`` and keep two invariants without
-re-checking: no coefficient is zero, and every integral exact coefficient is
-an ``int`` (so the next product can take the int64 kernel).
+:func:`from_obj`, ``Multivector.from_exact`` and multiplication by a scalar
+check every blade and coefficient.  Arithmetic results, projections, the
+typed samplers and the float copy of an exact value
+(``ApproxMultivector.from_exact``) are built by the trusted ``_make`` and
+keep two invariants without re-checking: no coefficient is zero, and every
+integral exact coefficient is an ``int`` (so the next product can take the
+int64 kernel).
 
 An exact value holds its coefficients in one of three forms.  A *dict-born*
 value keeps the dict, and caches its arrays the first time a dense product
@@ -621,6 +623,14 @@ class ApproxMultivector(_MultivectorBase):
     _zero = 0.0
     _scalar_types = (int, float, Fraction)
     _approx = True
+
+    @classmethod
+    def from_exact(cls, u: "Multivector"):
+        """The exact multivector u with float coefficients, dropping those that round to 0.0."""
+        if type(u) is cls:
+            return u
+        # u's dict already keeps the blades in range and holds no zero
+        return cls._make(u.sig, {b: f for b, v in u._dict().items() if (f := float(v))})
 
 
 def geo_mul(u: Multivector, v: Multivector) -> Multivector:

@@ -353,6 +353,30 @@ def test_approx_value_equality():
     assert not (exact == ApproxMultivector.scalar(CL20, 2.0))
 
 
+def test_approx_from_exact_equals_validating_construction():
+    # Fractions, ints past 2^53 that round, and values that round to 0.0,
+    # which the float copy drops as the validating constructor does
+    sig = Signature(3, 1)
+    exact = Multivector(
+        sig,
+        {
+            0b0110: Fraction(1, 3),
+            0: (1 << 53) + 1,
+            0b1000: -(3**40),
+            0b0001: Fraction(1, 1 << 1100),
+            0b1111: Fraction(-1, 1 << 1080),
+            0b0011: Fraction(-(10**400) - 1, 10**400),
+        },
+    )
+    got, want = ApproxMultivector.from_exact(exact), ApproxMultivector(sig, exact._dict())
+    assert type(got) is ApproxMultivector
+    assert list(got._dict().items()) == list(want._dict().items())
+    assert 0b0001 not in got._dict() and 0b1111 not in got._dict()
+    assert ApproxMultivector.from_exact(got) is got
+    with pytest.raises(TypeError):
+        Multivector.from_exact(got)
+
+
 def _assert_canonical(u):
     for _, v in u.terms():
         assert v != 0

@@ -6,9 +6,10 @@ import warnings
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from quatype import algebra
+from quatype import _accel, algebra
 from quatype.algebra import (
     ApproxMultivector,
     Multivector,
@@ -452,13 +453,64 @@ def exact_series(u):
     return sums
 
 
+def _spinor_norm(u):
+    """‖X‖∞ of u's spinor matrix X, the norm that the series scale by."""
+    sig = u.sig
+    x = _accel.to_spinor(*_accel.float_arrays(u._dict()), sig.neg_mask, sig.n)
+    return float(np.abs(x).sum(axis=1).max())
+
+
 def test_series_matches_exact_taylor_sum():
-    for u in _oracle_inputs(4):
+    # the oracle inputs, and those of n <= 3 scaled to ‖X‖∞ = 3.9, near the top
+    # of the range that the Taylor stage sums with no doubling
+    top = [u * (3.9 / _spinor_norm(u)) for u in _oracle_inputs(3) if u]
+    for u in [*_oracle_inputs(4), *top]:
         for name, ref in exact_series(u).items():
             got = series_fn(name, u)
             bound = 1e-14 * max(1.0, float(ref.max_abs()))
             for b in set(got._dict()) | set(ref._dict()):
                 assert abs(got.coefficient(b) - float(ref.coefficient(b))) <= bound, (u.sig, name, b)
+
+
+def test_series_of_integer_vectors_match_closed_forms():
+    # v v = ±r^2 for a vector v of Cl(n,0) or Cl(0,n), so each series of v is a
+    # function of r times 1 or v / r; coefficients up to 9 put ‖X‖∞ past 4, so
+    # these run the doublings
+    rng = random.Random(23)
+    for n in range(3, 7):
+        for sig in (Signature(n, 0), Signature(0, n)):
+            for _ in range(4):
+                u = ApproxMultivector(sig, {1 << i: rng.randint(-9, 9) for i in range(n)})
+                r = math.sqrt(sum(v * v for _, v in u.terms()))
+                if not r:
+                    continue
+                hyp, circ = (math.cosh(r), math.sinh(r) / r), (math.cos(r), math.sin(r) / r)
+                if sig.q:
+                    hyp, circ = circ, hyp
+                # each function's (scalar, multiple of v) parts
+                parts = {
+                    "exp": hyp,
+                    "cosh": (hyp[0], 0.0),
+                    "sinh": (0.0, hyp[1]),
+                    "cos": (circ[0], 0.0),
+                    "sin": (0.0, circ[1]),
+                }
+                for name, (even, odd) in parts.items():
+                    want = {0: even, **{b: odd * v for b, v in u.terms()}}
+                    got = series_fn(name, u)
+                    bound = 1e-12 * max(1.0, *map(abs, want.values()))
+                    for b in set(got._dict()) | set(want):
+                        assert abs(got.coefficient(b) - want.get(b, 0.0)) <= bound, (sig, u.terms(), name, b)
+
+
+def test_series_of_a_long_vector_matches_math():
+    # ‖X‖∞ = 700 takes 8 doublings, and cosh 700 is within a factor 2^15 of overflow
+    u = ApproxMultivector(Signature(3, 0), {0b001: 700.0})
+    for name, want in (("exp", {0: math.cosh(700), 0b001: math.sinh(700)}), ("sinh", {0b001: math.sinh(700)})):
+        got = series_fn(name, u)
+        bound = 1e-12 * max(want.values())
+        for b in set(got._dict()) | set(want):
+            assert abs(got.coefficient(b) - want.get(b, 0.0)) <= bound, (name, b)
 
 
 def test_series_exp_vector_closed_form_n9():
