@@ -257,15 +257,24 @@ def _clean(coeffs: dict) -> dict:
 
 def _mul_sparse(ca: dict, cb: dict, neg_mask: int, exterior: bool) -> dict:
     out: dict = {}
+    get = out.get
     for a, x in ca.items():
         w = sign_word(a, neg_mask)
-        for b, y in cb.items():
-            if exterior and a & b:
-                continue
-            key = a ^ b
-            v = x * y
-            cur = out.get(key, 0)
-            out[key] = cur - v if (w & b).bit_count() & 1 else cur + v
+        # two copies of the inner loop, so the geometric one runs without the overlap test
+        if exterior:
+            for b, y in cb.items():
+                if a & b:
+                    continue
+                key = a ^ b
+                v = x * y
+                cur = get(key, 0)
+                out[key] = cur - v if (w & b).bit_count() & 1 else cur + v
+        else:
+            for b, y in cb.items():
+                key = a ^ b
+                v = x * y
+                cur = get(key, 0)
+                out[key] = cur - v if (w & b).bit_count() & 1 else cur + v
     return _clean(out)
 
 

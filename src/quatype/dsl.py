@@ -24,11 +24,13 @@ its reproducer seed.
 
 from __future__ import annotations
 
+import _random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from random import Random
-from typing import Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, Union
 
 from .algebra import ApproxMultivector, Multivector, Signature
 from .brackets import kfold
@@ -39,6 +41,7 @@ from .qtypes import (
     BracketKind,
     InfeasibleDeclarationError,
     QType,
+    _declared_blade_groups,
     infer_ext_product_set,
     infer_kfold_set,
     infer_power_set,
@@ -51,6 +54,10 @@ from .qtypes import (
 )
 
 FN_NAMES = tuple(SERIES_NAMES) + tuple("w" + n for n in SERIES_NAMES)
+
+# the C seeding under random.Random.seed: for an int the same state, without
+# the Python method around it, and cheaper than a new Random per trial
+_reseed = _random.Random.seed
 
 
 class ParseError(ValueError):
@@ -170,11 +177,13 @@ def variables(e: Expr) -> dict[str, Var]:
 # lexer / parser
 
 
-@dataclass(frozen=True)
 class _Token:
-    kind: str  # name | int | op | end
-    text: str
-    pos: int
+    __slots__ = ("kind", "text", "pos")
+
+    def __init__(self, kind: str, text: str, pos: int):
+        self.kind = kind  # name | int | op | end
+        self.text = text
+        self.pos = pos
 
 
 _TOKEN_RE = re.compile(
@@ -504,42 +513,66 @@ def classify(value: Multivector | ApproxMultivector) -> QType:
     return qtype_of_approx(value) if isinstance(value, ApproxMultivector) else qtype_of(value)
 
 
-def _evaluate(e: Expr, env: Mapping[str, object], sig: Signature, cls):
+def _compile(e: Expr, slots: Mapping[str, int], sig: Signature, cls) -> Callable[[list], object]:
+    """``e`` as a function of a list of variable values, in ``cls``: variable ``name`` reads ``values[slots[name]]``.
+
+    Each scalar literal becomes its ``cls`` value once.  Brackets, powers
+    and series call this module's ``kfold``, ``ext_power``, ``series_fn``
+    and ``ext_series_fn``, looked up at every call, and products use the
+    multivector operators, so wrappers installed on either are seen.
+    """
+
+    def sub(child: Expr):
+        return _compile(child, slots, sig, cls)
+
     if isinstance(e, Var):
-        try:
-            return env[e.name]
-        except KeyError:
-            raise KeyError(f"no binding for variable {e.name!r}") from None
+        return itemgetter(slots[e.name])
     if isinstance(e, ScalarLit):
-        return cls.scalar(sig, e.value)
+        value = cls.scalar(sig, e.value)
+        return lambda values: value
     if isinstance(e, Neg):
-        return -_evaluate(e.operand, env, sig, cls)
-    if isinstance(e, Add):
-        return _evaluate(e.left, env, sig, cls) + _evaluate(e.right, env, sig, cls)
-    if isinstance(e, GeoMul):
-        return _evaluate(e.left, env, sig, cls) * _evaluate(e.right, env, sig, cls)
-    if isinstance(e, ExtMul):
-        return _evaluate(e.left, env, sig, cls) ^ _evaluate(e.right, env, sig, cls)
+        f = sub(e.operand)
+        return lambda values: -f(values)
+    if isinstance(e, (Add, GeoMul, ExtMul)):
+        f, g = sub(e.left), sub(e.right)
+        if isinstance(e, Add):
+            return lambda values: f(values) + g(values)
+        if isinstance(e, GeoMul):
+            return lambda values: f(values) * g(values)
+        return lambda values: f(values) ^ g(values)
     if isinstance(e, Bracket):
-        return kfold(e.kind, [_evaluate(o, env, sig, cls) for o in e.operands])
+        kind, fs = e.kind, [sub(o) for o in e.operands]
+        return lambda values: kfold(kind, [f(values) for f in fs])
     if isinstance(e, Power):
-        base = _evaluate(e.base, env, sig, cls)
-        return ext_power(base, e.exponent) if e.exterior else base**e.exponent
-    if isinstance(e, Fn):
-        operand = _evaluate(e.operand, env, sig, cls)
+        f, m = sub(e.base), e.exponent
         if e.exterior:
-            return ext_series_fn(e.series, operand)
-        return series_fn(e.series, operand)
+            return lambda values: ext_power(f(values), m)
+        return lambda values: f(values) ** m
+    if isinstance(e, Fn):
+        f, name = sub(e.operand), e.series
+        if e.exterior:
+            return lambda values: ext_series_fn(name, f(values))
+        return lambda values: series_fn(name, f(values))
     raise TypeError(f"not an expression node: {e!r}")
 
 
 def evaluate(e: Expr, bindings: Mapping[str, Multivector], sig: Signature):
-    """Evaluate with concrete bindings; float-valued when Clifford series occur."""
+    """Evaluate with concrete bindings; float-valued when Clifford series occur.
+
+    The expression runs as the program that ``check`` runs on each trial.
+    Every binding must live in ``sig``; a variable without one raises
+    ``KeyError``, the first in order of appearance.
+    """
     for name, value in bindings.items():
         if value.sig != sig:
             raise ValueError(f"binding for {name!r} lives in {value.sig}, expected {sig}")
+    names = list(variables(e))
+    for name in names:
+        if name not in bindings:
+            raise KeyError(f"no binding for variable {name!r}")
     cls = _domain(e)
-    return _evaluate(e, {k: cls.from_exact(v) for k, v in bindings.items()}, sig, cls)
+    program = _compile(e, {name: i for i, name in enumerate(names)}, sig, cls)
+    return program([cls.from_exact(bindings[name]) for name in names])
 
 
 # ---------------------------------------------------------------------------
@@ -599,60 +632,79 @@ class CheckReport:
         return "\n".join(lines)
 
 
-def _sample_variable(sig: Signature, rng: Random, var: Var) -> Multivector:
-    try:
-        if var.rank is not None:
-            return random_of_rank(sig, rng, var.rank)
-        return random_of_type(sig, rng, var.qtype)
-    except InfeasibleDeclarationError as exc:
-        exc.args = (f"{exc} (variable {var.name!r})", *exc.args[1:])
-        raise
-
-
 def check(e: Expr | str, sig: Signature, trials: int = 100, seed: int = 0) -> CheckReport:
     """Verify the type of the concrete value ⊆ infer(expression) on random trials.
 
-    Trial i draws from ``Random(seed + i)``, its reproducer seed.  It samples
-    one multivector per distinct variable, in name order (aliased
-    occurrences share the sample): a rank declaration draws the blades of
-    that grade, a type declaration draws its member residues in ascending
-    order, and within each the blades go by grade, then by bit order.  Every
-    blade draws an integer coefficient in [-9, 9], ``-9 + getrandbits(5)``
-    with ``getrandbits(5)`` drawn again while it is 19 or more (that is
+    Trial i draws from a generator in the state of ``Random(seed + i)``,
+    and ``seed + i`` is its reproducer seed: trial 0 uses ``Random(seed)``
+    and each later trial reseeds that one generator to ``seed + i``.  A
+    negative seed raises ``ValueError``, since ``Random(-s)`` seeds like
+    ``Random(s)`` and its trials would repeat others.  A trial samples one
+    multivector per distinct variable, in name order (aliased occurrences
+    share the sample): a rank declaration draws the blades of that grade, a
+    type declaration draws its member residues in ascending order, and
+    within each the blades go by grade, then by bit order.  Every blade
+    draws an integer coefficient in [-9, 9], ``-9 + getrandbits(5)`` with
+    ``getrandbits(5)`` drawn again while it is 19 or more (that is
     ``Random.randint(-9, 9)`` on CPython 3.10-3.13); a residue (or rank)
-    whose draw comes out all zero is patched at one random blade.  A
-    sample of 256 blades or more takes its 32-bit words in chunks of one
-    ``getrandbits`` call, with the same values and the same generator
-    state afterwards as the per-blade draw.  The trial
-    evaluates exactly, or in floats when Clifford series are involved, and
-    records any containment violation.  A declaration with an empty blade
-    group (a rank outside 0..n, a residue above n) raises
-    :class:`InfeasibleDeclarationError` naming its variable at trial 0's
-    draw, before anything is evaluated.  A trial whose evaluation raises
-    ``ValueError`` (an overflow to a non-finite coefficient, say) aborts the
-    check with the error prefixed by ``trial i (seed s): ``.
+    whose draw comes out all zero is patched at one random blade.  A sample
+    of 256 blades or more takes its 32-bit words in chunks of one
+    ``getrandbits`` call, with the same values and the same generator state
+    afterwards as the per-blade draw.
+
+    The plan is made once per call: every declaration is resolved, the
+    expression compiles into the program that :func:`evaluate` runs, and
+    the domain and classifier are chosen.  A declaration with an empty
+    blade group (a rank outside 0..n, a residue above n) raises
+    :class:`InfeasibleDeclarationError` naming the first such variable in
+    name order, before trial 0.  Each trial then evaluates exactly, or in
+    floats when Clifford series are involved, and records any containment
+    violation.  A trial whose evaluation raises ``ValueError`` (an overflow
+    to a non-finite coefficient, say) aborts the check with the error
+    prefixed by ``trial i (seed s): ``.
     """
     if isinstance(e, str):
         e = parse(e)
     if trials < 1:
         raise ValueError("need at least one trial")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     inferred = infer(e)
     by_name = sorted(variables(e).items())
-    cls = _domain(e)
-    report = CheckReport(expr=render(e), signature=sig, inferred=inferred, trials=trials)
-    for i in range(trials):
-        trial_seed = seed + i
-        rng = Random(trial_seed)
-        env = {name: cls.from_exact(_sample_variable(sig, rng, var)) for name, var in by_name}
+    draws = []
+    for name, var in by_name:
+        declaration = var.qtype if var.rank is None else var.rank
         try:
-            got = classify(_evaluate(e, env, sig, cls))
+            _declared_blade_groups(sig, declaration)
+        except InfeasibleDeclarationError as exc:
+            exc.args = (f"{exc} (variable {name!r})", *exc.args[1:])
+            raise
+        draws.append((random_of_type if var.rank is None else random_of_rank, declaration))
+    cls = _domain(e)
+    approx = cls is ApproxMultivector
+    program = _compile(e, {name: i for i, (name, _) in enumerate(by_name)}, sig, cls)
+    classify_value = qtype_of_approx if approx else qtype_of
+
+    rng = Random(seed)
+    failures = []
+    observed = frozenset()
+    for i in range(trials):
+        if i:
+            _reseed(rng, seed + i)
+        values = [draw(sig, rng, declaration) for draw, declaration in draws]
+        if approx:
+            values = [ApproxMultivector.from_exact(v) for v in values]
+        try:
+            got = classify_value(program(values))
         except ValueError as exc:
-            exc.args = (f"trial {i} (seed {trial_seed}): {exc}", *exc.args[1:])
+            exc.args = (f"trial {i} (seed {seed + i}): {exc}", *exc.args[1:])
             raise
         if not got <= inferred:
-            report.failures.append(TrialFailure(trial=i, seed=trial_seed, observed=got))
-        report.observed |= got
-    return report
+            failures.append(TrialFailure(trial=i, seed=seed + i, observed=got))
+        observed |= got
+    return CheckReport(
+        expr=render(e), signature=sig, inferred=inferred, trials=trials, failures=failures, observed=QType(observed)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -174,11 +174,18 @@ def musical_compose(a: MusicalOp, b: MusicalOp) -> MusicalOp:
 # concrete type of a multivector
 
 
+# the 16 types, keyed by their residues as a plain frozenset
+_INTERNED = {frozenset(t): t for t in (QType(r for r in range(4) if mask >> r & 1) for mask in range(16))}
+
+
 def qtype_of(u: Multivector) -> QType:
-    """Residue classes mod 4 on which u has nonzero grades; empty for u = 0."""
+    """Residue classes mod 4 on which u has nonzero grades; empty for u = 0.
+
+    One of 16 shared :class:`QType` objects, so a classification builds none.
+    """
     if u._coeffs is None:
-        return QType(_accel.grade_residues(u._int64()[0]))
-    return QType({b.bit_count() & 3 for b in u._coeffs})
+        return _INTERNED[frozenset(_accel.grade_residues(u._int64()[0]))]
+    return _INTERNED[frozenset({b.bit_count() & 3 for b in u._coeffs})]
 
 
 # relative weight below which a float coefficient counts as cancellation noise

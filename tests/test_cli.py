@@ -137,6 +137,13 @@ def test_exit_code_infeasible_rank():
     assert "infeasible" in proc.stderr
 
 
+def test_exit_code_negative_seed(capsys):
+    # Random(-s) seeds like Random(s): seeds -3..3 would run three trials twice
+    assert main(["check", "--sig", "4,0", "--seed", "-3", "--trials", "7", "[U:1,V:2]"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: seed must be nonnegative\n"
+
+
 def test_exit_code_bad_signature():
     proc = run_cli("check", "--sig", "nope", "U:1~")
     assert proc.returncode == 2

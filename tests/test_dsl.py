@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from quatype.algebra import ApproxMultivector, Multivector, Signature
+from quatype.brackets import kfold
 from quatype.dsl import (
     Add,
     Bracket,
@@ -24,6 +25,7 @@ from quatype.dsl import (
     check,
     classify,
     evaluate,
+    has_clifford_series,
     infer,
     parse,
     parse_file,
@@ -31,6 +33,7 @@ from quatype.dsl import (
     strip_comment,
     variables,
 )
+from quatype.powers import ext_power, ext_series_fn, series_fn
 from quatype.qtypes import (
     BracketKind,
     InfeasibleDeclarationError,
@@ -403,8 +406,16 @@ def test_check_accepts_string_or_ast():
     assert check(e, Signature(3, 1), trials=10, seed=0).ok
 
 
+def test_check_rejects_a_negative_seed():
+    # Random(-s) seeds like Random(s): seeds -3..3 would run three trials twice
+    with pytest.raises(ValueError, match=r"^seed must be nonnegative$"):
+        check("[U:1, V:2]", Signature(4, 0), trials=7, seed=-3)
+    assert check("[U:1, V:2]", Signature(4, 0), trials=7, seed=0).ok
+
+
 def test_check_report_shape():
     report = check("{U:1, V:1}", Signature(3, 1), trials=20, seed=1)
+    assert type(report.observed) is QType and report.observed.render() == "0~"
     obj = report.to_obj()
     assert set(obj) == {"expr", "inferred", "trials", "failures", "observed", "tight"}
     assert obj["trials"] == 20
@@ -451,6 +462,111 @@ def test_soundness_over_random_expressions():
         for sig in (Signature(4, 0), Signature(2, 3)):
             report = check(src, sig, trials=20, seed=11)
             assert report.ok, (src, sig, report.format_text())
+
+
+# ---------------------------------------------------------------------------
+# the compiled trial loop against a reference loop
+
+
+def _reference_evaluate(e, env, sig, cls):
+    """A tree-walking evaluator: the reference for the program that check compiles."""
+    if isinstance(e, Var):
+        return env[e.name]
+    if isinstance(e, ScalarLit):
+        return cls.scalar(sig, e.value)
+    if isinstance(e, Neg):
+        return -_reference_evaluate(e.operand, env, sig, cls)
+    if isinstance(e, Add):
+        return _reference_evaluate(e.left, env, sig, cls) + _reference_evaluate(e.right, env, sig, cls)
+    if isinstance(e, GeoMul):
+        return _reference_evaluate(e.left, env, sig, cls) * _reference_evaluate(e.right, env, sig, cls)
+    if isinstance(e, ExtMul):
+        return _reference_evaluate(e.left, env, sig, cls) ^ _reference_evaluate(e.right, env, sig, cls)
+    if isinstance(e, Bracket):
+        return kfold(e.kind, [_reference_evaluate(o, env, sig, cls) for o in e.operands])
+    if isinstance(e, Power):
+        base = _reference_evaluate(e.base, env, sig, cls)
+        return ext_power(base, e.exponent) if e.exterior else base**e.exponent
+    if isinstance(e, Fn):
+        operand = _reference_evaluate(e.operand, env, sig, cls)
+        return (ext_series_fn if e.exterior else series_fn)(e.series, operand)
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def _reference_draw(sig, rng, var):
+    return random_of_rank(sig, rng, var.rank) if var.rank is not None else random_of_type(sig, rng, var.qtype)
+
+
+def _reference_check(src, sig, trials, seed):
+    """check's report and the value of each trial, from a new Random(seed + i) per trial and the reference evaluator."""
+    e = parse(src)
+    inferred = infer(e)
+    cls = ApproxMultivector if has_clifford_series(e) else Multivector
+    failures, observed, values = [], QType(), []
+    for i in range(trials):
+        rng = random.Random(seed + i)
+        env = {name: cls.from_exact(_reference_draw(sig, rng, var)) for name, var in sorted(variables(e).items())}
+        values.append(_reference_evaluate(e, env, sig, cls))
+        got = classify(values[-1])
+        if not got <= inferred:
+            failures.append(TrialFailure(trial=i, seed=seed + i, observed=got))
+        observed |= got
+    return CheckReport(render(e), sig, inferred, trials, failures, observed), values
+
+
+ORACLE_CORPUS = [
+    # rank and type declarations, an aliased variable, a Fraction literal,
+    # both brackets, both powers, an exterior series
+    "{[U:1~, V:#2, U], W:0~2~, 3/2} - (U ^ V)**2 + W^^2 * wexp(V)",
+    # a Clifford series takes the whole expression to floats
+    "exp(1/8 * [U:1~, V:#2]) + {U, V}^^2 - sin(V) ^ U",
+]
+
+
+@pytest.mark.parametrize("src", ORACLE_CORPUS)
+@pytest.mark.parametrize("sig", [Signature(4, 0), Signature(2, 3)], ids=str)
+def test_check_equals_the_reference_loop(src, sig, monkeypatch):
+    # the same report, and the same value classified on every trial
+    import quatype.dsl as dsl
+
+    expected, expected_values = _reference_check(src, sig, 20, 3)
+    values = []
+    for name in ("qtype_of", "qtype_of_approx"):
+
+        def recording(value, _classify=getattr(dsl, name)):
+            values.append(value)
+            return _classify(value)
+
+        monkeypatch.setattr(dsl, name, recording)
+    report = check(src, sig, trials=20, seed=3)
+    assert report.to_obj() == expected.to_obj()
+    assert [(type(v), v.terms()) for v in values] == [(type(v), v.terms()) for v in expected_values]
+
+
+def test_check_reseeds_to_the_state_of_a_new_generator(monkeypatch):
+    # after each draw, check's one generator is where a new Random(seed + i)
+    # is after the same draws
+    import quatype.dsl as dsl
+
+    states = []
+    for name in ("random_of_type", "random_of_rank"):
+
+        def recording(sig, rng, declaration, _draw=getattr(dsl, name)):
+            value = _draw(sig, rng, declaration)
+            states.append(rng.getstate())
+            return value
+
+        monkeypatch.setattr(dsl, name, recording)
+    src, sig, trials, seed = ORACLE_CORPUS[0], Signature(4, 0), 20, 7
+    check(src, sig, trials=trials, seed=seed)
+    by_name = [var for _, var in sorted(variables(parse(src)).items())]
+    expected = []
+    for i in range(trials):
+        rng = random.Random(seed + i)
+        for var in by_name:
+            _reference_draw(sig, rng, var)
+            expected.append(rng.getstate())
+    assert states == expected
 
 
 # ---------------------------------------------------------------------------

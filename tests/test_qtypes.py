@@ -68,6 +68,23 @@ def test_qtype_of_examples():
         assert qtype_of(Multivector.zero(s4)) <= QType(members)
 
 
+def test_qtype_of_returns_interned_types():
+    # one shared QType per residue set, equal to the one a caller builds,
+    # from dict-born and array-born values alike
+    from quatype import algebra
+
+    sig = Signature(4, 0)
+    for members in itertools.chain.from_iterable(itertools.combinations(range(4), r) for r in range(5)):
+        coeffs = {b: 1 for r in members for b in blades_of_grades(4, (r,))}
+        u = Multivector(sig, coeffs)
+        arrays = algebra._from_arrays(sig, *u._int64()[:2])
+        for value in (u, arrays):
+            got = qtype_of(value)
+            assert type(got) is QType and got == QType(members) and got.render() == QType(members).render()
+            assert got is qtype_of(value)
+        assert qtype_of(arrays) is qtype_of(u)
+
+
 def test_qtype_of_approx_threshold():
     s2 = Signature(2, 0)
     u = ApproxMultivector(s2, {0: 1.0, 0b01: 1e-13})
