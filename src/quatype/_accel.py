@@ -49,7 +49,7 @@ from operator import mul
 
 import numpy as np
 
-from .algebra import sign_word
+from .algebra import _INT64_SAFE_BOUND, _patch_zero_group, sign_word
 
 # blade pairs per chunk of rows: bounds the temporaries at n = 11 and 12,
 # and at 512 KB per int64 temporary they stay in cache (chunks of 2^20
@@ -75,7 +75,7 @@ def dict_slot(coeffs: dict):
     if type(total) is not int:
         return False
     blades = np.fromiter(coeffs, np.int64, len(coeffs))
-    values = np.array(values, dtype=np.int64 if total < 1 << 62 else object)
+    values = np.array(values, dtype=np.int64 if total < _INT64_SAFE_BOUND else object)
     blades.flags.writeable = values.flags.writeable = False
     return blades, values, total
 
@@ -338,7 +338,7 @@ def product_residue(ia, va, ib, vb, neg_mask, n, bound):
         a -= pk[j] * (a > pk[j] >> 1)
         digits[j] = a
         r[j + 1 :] = (r[j + 1 :] - a) * inverses[j, j + 1 :, None] % pk[j + 1 :]
-    if bound >= 1 << 62:
+    if bound >= _INT64_SAFE_BOUND:
         digits = digits.astype(object)
     out = digits[k - 1]
     for j in range(k - 2, -1, -1):
@@ -420,9 +420,6 @@ def spinor_series(coeffs: dict, neg_mask: int, n: int, parities: tuple[int, ...]
 # sampling
 
 
-# a group finishes its last words one at a time once fewer than this many
-# are needed: a chunk's round of numpy calls costs more than the scalar loop
-_SCALAR_TAIL_WORDS = 32
 # int64 arrays of the blade groups drawn in chunks, by id; each entry keeps
 # its group alive, so no other group can take that id while it is cached
 _GROUP_ARRAYS: dict[int, tuple[tuple, np.ndarray]] = {}
@@ -449,29 +446,40 @@ def _draw_group(rng, blades: tuple[int, ...], lo: int, hi: int, width: int, k: i
     ``getrandbits(32 m)`` is m successive 32-bit Mersenne Twister words,
     least significant first (Matsumoto and Nishimura, ACM TOMACS 8, 1998),
     and ``getrandbits(k)`` for k <= 32 is one word shifted right by 32 - k.
-    A chunk holds exactly the count of blades still without a value, and
-    once fewer than ``_SCALAR_TAIL_WORDS`` are needed they are drawn one at a
-    time, so the draw takes the words the per-blade loop takes, in the same
-    order, and leaves the generator in the same state.
+    Each chunk holds exactly the count of blades still without a value, and
+    chunks are drawn down to the last word, so the draw takes the words the
+    per-blade loop takes, in the same order, and leaves the generator in the
+    same state.  An all-zero draw is patched by
+    :func:`quatype.algebra._patch_zero_group`, as the per-blade loop patches it.
     """
+    # a word w is accepted when w >> (32 - k) < width, that is when w <= top
+    top = (width << (32 - k)) - 1
+    if k <= 8:
+        # the low 24 bits of top are all ones, so a word is accepted exactly
+        # when its top byte is at most top >> 24; the table maps such a byte
+        # to 0, and counting zeros takes no array: a chunk of a few words
+        # costs a fraction of a numpy call
+        table = bytes((top >> 24) + 1).ljust(256, b"\x01")
+
+        def accepted(chunk: bytes) -> int:
+            return chunk[3::4].translate(table).count(0)
+
+    else:
+
+        def accepted(chunk: bytes) -> int:
+            return np.count_nonzero(np.frombuffer(chunk, "<u4") <= top)
+
     getrandbits = rng.getrandbits
-    accepted = []
+    chunks = []
     need = len(blades)
-    while need >= _SCALAR_TAIL_WORDS:
-        words = np.frombuffer(getrandbits(need << 5).to_bytes(need << 2, "little"), "<u4") >> (32 - k)
-        words = words[words < width]
-        accepted.append(words)
-        need -= len(words)
-    tail = []
-    for _ in range(need):
-        r = getrandbits(k)
-        while r >= width:
-            r = getrandbits(k)
-        tail.append(r)
-    accepted.append(np.array(tail, dtype=np.int64))
-    values = np.concatenate(accepted).astype(np.int64, copy=False) + lo
+    while need:
+        chunk = getrandbits(need << 5).to_bytes(need << 2, "little")
+        chunks.append(chunk)
+        need -= accepted(chunk)
+    words = np.frombuffer(b"".join(chunks), "<u4")
+    values = (words[words <= top] >> (32 - k)).astype(np.int64) + lo
     keep = values != 0
     if keep.any():
         return _group_array(blades)[keep], values[keep]
-    b = rng.choice(blades)
-    return np.array([b], dtype=np.int64), np.array([rng.randint(1, max(hi, 1)) * rng.choice((-1, 1))], dtype=np.int64)
+    b, v = _patch_zero_group(rng, blades, hi)
+    return np.array([b], dtype=np.int64), np.array([v], dtype=np.int64)

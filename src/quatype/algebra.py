@@ -704,8 +704,10 @@ def sample_blades(
     A draw of at least ``_CHUNKED_DRAW_MIN_BLADES`` blades with k <= 32
     and max(|lo|, |hi|) 2^n < 2^62, which keeps its ℓ1 norm below 2^62,
     takes its words in chunks (:func:`quatype._accel.draw`) and is
-    array-born.  Either way the values and the generator's state afterwards
-    are the same.
+    array-born: each chunk is one ``getrandbits`` call for exactly the words
+    its group still needs, and chunks are drawn down to the last word.
+    Either way the values and the generator's state afterwards are the
+    same, and an all-zero group is patched by :func:`_patch_zero_group`.
     """
     width = hi - lo + 1
     if width <= 0:
@@ -728,9 +730,14 @@ def sample_blades(
                 coeffs[b] = lo + r
                 hit = True
         if not hit and blades:
-            b = rng.choice(blades)
-            coeffs[b] = rng.randint(1, max(hi, 1)) * rng.choice((-1, 1))
+            b, v = _patch_zero_group(rng, blades, hi)
+            coeffs[b] = v
     return Multivector._make(sig, coeffs)
+
+
+def _patch_zero_group(rng: Random, blades: tuple[int, ...], hi: int) -> tuple[int, int]:
+    """The one term that patches a group whose draw came out all zero: a random blade and a nonzero value."""
+    return rng.choice(blades), rng.randint(1, max(hi, 1)) * rng.choice((-1, 1))
 
 
 def random_multivector(

@@ -1,12 +1,14 @@
 """A small expression language over typed multivector variables.
 
-Syntax, loosest binding first::
+Syntax, loosest binding first; the levels 1-5 are the parser's one table
+(``_LEVEL``), which ``render`` reads too, and the binary levels group left::
 
-    U + V, U - V          sum / difference
-    U V,  U * V           geometric product (juxtaposition works)
-    U ^ V                 exterior product
-    -U                    negation
-    U**3, U^^2            Clifford / exterior power (nonnegative integers)
+    1  U + V, U - V       sum / difference (U - V is U + (-V))
+    2  U V,  U * V        geometric product (juxtaposition works)
+    3  U ^ V              exterior product
+    4  -U                 negation
+    5  U**3, U^^2         Clifford / exterior power (nonnegative integers)
+    atoms:
     [A, B, ...]           k-fold commutator          (two or more operands)
     {A, B, ...}           k-fold anticommutator
     exp(U) sin(U) cos(U) sinh(U) cosh(U)       Clifford series
@@ -212,10 +214,18 @@ def _tokenize(src: str) -> list[_Token]:
 
 _ATOM_STARTERS = {"(", "[", "{"}
 
+# The binding levels, loosest first; a node not listed is an atom (level 6).
+# parse and render both read them: an infix node's operands bind at its level
+# on the left and one above on the right, so every chain groups to the left.
+_LEVEL = {Add: 1, GeoMul: 2, ExtMul: 3, Neg: 4, Power: 5}
+# the infix tokens: a - b is a + (-b), and an operand right after another,
+# with no token between, binds as *
+_INFIX = {"+": Add, "-": Add, "*": GeoMul, "^": ExtMul}
+_SYMBOL = {node: tok for tok, node in _INFIX.items() if tok != "-"}
+
 
 class _Parser:
     def __init__(self, src: str, require_types: bool):
-        self.src = src
         self.toks = _tokenize(src)
         self.i = 0
         self.require_types = require_types
@@ -236,49 +246,33 @@ class _Parser:
             raise ParseError(f"expected {text!r}, found {tok.text!r}" if tok.text else f"expected {text!r}", tok.pos)
         return self.advance()
 
-    # -- grammar levels ------------------------------------------------
+    # -- grammar -------------------------------------------------------
 
     def parse(self) -> Expr:
-        e = self.expr()
+        e = self.binary()
         tok = self.peek()
         if tok.kind != "end":
             raise ParseError(f"unexpected token {tok.text!r}", tok.pos)
         return e
 
-    def expr(self) -> Expr:
-        e = self.term()
-        while self.peek().text in ("+", "-"):
-            op = self.advance().text
-            rhs = self.term()
-            e = Add(e, Neg(rhs)) if op == "-" else Add(e, rhs)
-        return e
-
-    def term(self) -> Expr:
-        e = self.wedge()
+    def binary(self, level: int = 1) -> Expr:
+        """Unary operands joined by infix operators of ``level`` or above: precedence climbing (Pratt, POPL 1973)."""
+        e = self.unary()
         while True:
             tok = self.peek()
-            if tok.text == "*":
-                self.advance()
-                e = GeoMul(e, self.wedge())
-            elif tok.kind in ("name", "int") or tok.text in _ATOM_STARTERS:
-                e = GeoMul(e, self.wedge())  # juxtaposition
-            else:
+            juxtaposed = tok.kind in ("name", "int") or tok.text in _ATOM_STARTERS
+            node = GeoMul if juxtaposed else _INFIX.get(tok.text)
+            if node is None or _LEVEL[node] < level:
                 return e
-
-    def wedge(self) -> Expr:
-        e = self.unary()
-        while self.peek().text == "^":
-            self.advance()
-            e = ExtMul(e, self.unary())
-        return e
+            if not juxtaposed:
+                self.advance()
+            rhs = self.binary(_LEVEL[node] + 1)
+            e = node(e, Neg(rhs) if tok.text == "-" else rhs)
 
     def unary(self) -> Expr:
         if self.peek().text == "-":
             self.advance()
             return Neg(self.unary())
-        return self.postfix()
-
-    def postfix(self) -> Expr:
         e = self.atom()
         while self.peek().text in ("**", "^^"):
             op = self.advance()
@@ -293,7 +287,7 @@ class _Parser:
         tok = self.peek()
         if tok.text == "(":
             self.advance()
-            e = self.expr()
+            e = self.binary()
             self.expect(")")
             return e
         if tok.text in ("[", "{"):
@@ -310,10 +304,10 @@ class _Parser:
         opener = self.advance()
         kind = BracketKind.COMMUTATOR if opener.text == "[" else BracketKind.ANTICOMMUTATOR
         closer = "]" if opener.text == "[" else "}"
-        operands = [self.expr()]
+        operands = [self.binary()]
         while self.peek().text == ",":
             self.advance()
-            operands.append(self.expr())
+            operands.append(self.binary())
         self.expect(closer)
         if len(operands) < 2:
             raise ParseError("brackets need at least two comma-separated operands", opener.pos)
@@ -338,7 +332,7 @@ class _Parser:
         if tok.text not in FN_NAMES:
             raise ParseError(f"unknown function {tok.text!r}", tok.pos)
         self.expect("(")
-        operand = self.expr()
+        operand = self.binary()
         self.expect(")")
         return Fn(tok.text, operand)
 
@@ -374,19 +368,15 @@ class _Parser:
         if tok.kind != "int":
             raise ParseError("expected a type or rank declaration after ':'", tok.pos)
         members: list[int] = []
-        while True:
-            tok = self.peek()
-            if tok.kind == "int":
-                self.advance()
-                for ch in tok.text:
-                    if ch not in "0123":
-                        raise ParseError(f"type members must be 0..3, got {ch!r}", tok.pos)
-                    members.append(int(ch))
-                if self.peek().text == "~":
-                    self.advance()
-                    continue
+        while self.peek().kind == "int":
+            tok = self.advance()
+            for ch in tok.text:
+                if ch not in "0123":
+                    raise ParseError(f"type members must be 0..3, got {ch!r}", tok.pos)
+                members.append(int(ch))
+            if self.peek().text != "~":
                 break
-            break
+            self.advance()
         return Var(name, qtype=QType(members))
 
 
@@ -399,26 +389,18 @@ def parse(src: str, require_types: bool = True) -> Expr:
 # rendering
 
 
-def _prec(e: Expr) -> int:
-    if isinstance(e, Add):
-        return 1
-    if isinstance(e, GeoMul):
-        return 2
-    if isinstance(e, ExtMul):
-        return 3
-    if isinstance(e, Neg):
-        return 4
-    if isinstance(e, Power):
-        return 5
-    return 6
-
-
 def render(e: Expr) -> str:
-    """Expression back to source text; reparsing yields an equal AST."""
+    """Expression back to source text, with the parentheses that the binding levels need.
+
+    Reparsing yields an equal AST for every AST that :func:`parse`
+    returns.  A hand-built AST may not round-trip: a negative
+    ``ScalarLit(-3)`` renders as ``-3``, which parses as ``Neg``.
+    """
+    level = _LEVEL.get(type(e))
 
     def wrap(child: Expr, limit: int) -> str:
         text = render(child)
-        return f"({text})" if _prec(child) < limit else text
+        return f"({text})" if _LEVEL.get(type(child), 6) < limit else text
 
     if isinstance(e, Var):
         decl = e.declaration()
@@ -427,19 +409,15 @@ def render(e: Expr) -> str:
         v = e.value
         return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
     if isinstance(e, Neg):
-        return "-" + wrap(e.operand, 4)
-    if isinstance(e, Add):
-        left = wrap(e.left, 1)
-        if isinstance(e.right, Neg):
-            return f"{left} - {wrap(e.right.operand, 2)}"
-        return f"{left} + {wrap(e.right, 2)}"
-    if isinstance(e, GeoMul):
-        return f"{wrap(e.left, 2)} * {wrap(e.right, 3)}"
-    if isinstance(e, ExtMul):
-        return f"{wrap(e.left, 3)} ^ {wrap(e.right, 4)}"
+        return "-" + wrap(e.operand, level)
+    if isinstance(e, (Add, GeoMul, ExtMul)):
+        symbol, right = _SYMBOL[type(e)], e.right
+        if isinstance(e, Add) and isinstance(right, Neg):
+            symbol, right = "-", right.operand
+        return f"{wrap(e.left, level)} {symbol} {wrap(right, level + 1)}"
     if isinstance(e, Power):
         op = "^^" if e.exterior else "**"
-        return f"{wrap(e.base, 6)}{op}{e.exponent}"
+        return f"{wrap(e.base, level + 1)}{op}{e.exponent}"
     if isinstance(e, Bracket):
         left, right = ("[", "]") if e.kind is BracketKind.COMMUTATOR else ("{", "}")
         return left + ", ".join(render(o) for o in e.operands) + right
@@ -509,7 +487,12 @@ def _domain(e: Expr) -> type[Multivector] | type[ApproxMultivector]:
 
 
 def classify(value: Multivector | ApproxMultivector) -> QType:
-    """Quaternion type of an evaluated value, exact or float."""
+    """Quaternion type of an evaluated value, exact or float.
+
+    ``check`` classifies every trial here, and ``cli eval`` the value of
+    :func:`evaluate`.  ``qtype_of`` and ``qtype_of_approx`` are looked up
+    in this module at every call, so wrappers installed on either are seen.
+    """
     return qtype_of_approx(value) if isinstance(value, ApproxMultivector) else qtype_of(value)
 
 
@@ -648,20 +631,22 @@ def check(e: Expr | str, sig: Signature, trials: int = 100, seed: int = 0) -> Ch
     ``getrandbits(5)`` drawn again while it is 19 or more (that is
     ``Random.randint(-9, 9)`` on CPython 3.10-3.13); a residue (or rank)
     whose draw comes out all zero is patched at one random blade.  A sample
-    of 256 blades or more takes its 32-bit words in chunks of one
-    ``getrandbits`` call, with the same values and the same generator state
-    afterwards as the per-blade draw.
+    of 256 blades or more takes its 32-bit words in chunks, each one
+    ``getrandbits`` call for exactly the words still needed, down to the
+    last word, with the same values and the same generator state afterwards
+    as the per-blade draw.
 
     The plan is made once per call: every declaration is resolved, the
     expression compiles into the program that :func:`evaluate` runs, and
-    the domain and classifier are chosen.  A declaration with an empty
-    blade group (a rank outside 0..n, a residue above n) raises
+    the domain is chosen.  A declaration with an empty blade group (a rank
+    outside 0..n, a residue above n) raises
     :class:`InfeasibleDeclarationError` naming the first such variable in
     name order, before trial 0.  Each trial then evaluates exactly, or in
-    floats when Clifford series are involved, and records any containment
-    violation.  A trial whose evaluation raises ``ValueError`` (an overflow
-    to a non-finite coefficient, say) aborts the check with the error
-    prefixed by ``trial i (seed s): ``.
+    floats when Clifford series are involved, classifies the value by
+    :func:`classify`, and records any containment violation.  A trial whose
+    evaluation raises ``ValueError`` (an overflow to a non-finite
+    coefficient, say) aborts the check with the error prefixed by
+    ``trial i (seed s): ``.
     """
     if isinstance(e, str):
         e = parse(e)
@@ -683,7 +668,6 @@ def check(e: Expr | str, sig: Signature, trials: int = 100, seed: int = 0) -> Ch
     cls = _domain(e)
     approx = cls is ApproxMultivector
     program = _compile(e, {name: i for i, (name, _) in enumerate(by_name)}, sig, cls)
-    classify_value = qtype_of_approx if approx else qtype_of
 
     rng = Random(seed)
     failures = []
@@ -695,7 +679,7 @@ def check(e: Expr | str, sig: Signature, trials: int = 100, seed: int = 0) -> Ch
         if approx:
             values = [ApproxMultivector.from_exact(v) for v in values]
         try:
-            got = classify_value(program(values))
+            got = classify(program(values))
         except ValueError as exc:
             exc.args = (f"trial {i} (seed {seed + i}): {exc}", *exc.args[1:])
             raise

@@ -81,6 +81,68 @@ def test_parse_precedence():
     assert isinstance(e, Add) and isinstance(e.right, Neg)
 
 
+_A, _B, _C = Var("A"), Var("B"), Var("C")
+
+
+def _sub(left, right):
+    return Add(left, Neg(right))
+
+
+# every ordered pair of + - * juxtaposition ^ in A op1 B op2 C, then a prefix
+# minus and both postfix powers against each of them, each grouping written
+# out: + and - bind loosest, then * and juxtaposition, then ^, and each level
+# groups to the left
+PRECEDENCE_CASES = [
+    ("A + B + C", Add(Add(_A, _B), _C)),
+    ("A + B - C", _sub(Add(_A, _B), _C)),
+    ("A + B * C", Add(_A, GeoMul(_B, _C))),
+    ("A + B C", Add(_A, GeoMul(_B, _C))),
+    ("A + B ^ C", Add(_A, ExtMul(_B, _C))),
+    ("A - B + C", Add(_sub(_A, _B), _C)),
+    ("A - B - C", _sub(_sub(_A, _B), _C)),
+    ("A - B * C", _sub(_A, GeoMul(_B, _C))),
+    ("A - B C", _sub(_A, GeoMul(_B, _C))),
+    ("A - B ^ C", _sub(_A, ExtMul(_B, _C))),
+    ("A * B + C", Add(GeoMul(_A, _B), _C)),
+    ("A * B - C", _sub(GeoMul(_A, _B), _C)),
+    ("A * B * C", GeoMul(GeoMul(_A, _B), _C)),
+    ("A * B C", GeoMul(GeoMul(_A, _B), _C)),
+    ("A * B ^ C", GeoMul(_A, ExtMul(_B, _C))),
+    ("A B + C", Add(GeoMul(_A, _B), _C)),
+    ("A B - C", _sub(GeoMul(_A, _B), _C)),
+    ("A B * C", GeoMul(GeoMul(_A, _B), _C)),
+    ("A B C", GeoMul(GeoMul(_A, _B), _C)),
+    ("A B ^ C", GeoMul(_A, ExtMul(_B, _C))),
+    ("A ^ B + C", Add(ExtMul(_A, _B), _C)),
+    ("A ^ B - C", _sub(ExtMul(_A, _B), _C)),
+    ("A ^ B * C", GeoMul(ExtMul(_A, _B), _C)),
+    ("A ^ B C", GeoMul(ExtMul(_A, _B), _C)),
+    ("A ^ B ^ C", ExtMul(ExtMul(_A, _B), _C)),
+    ("-A + B", Add(Neg(_A), _B)),
+    ("-A - B", _sub(Neg(_A), _B)),
+    ("-A * B", GeoMul(Neg(_A), _B)),
+    ("-A B", GeoMul(Neg(_A), _B)),
+    ("-A ^ B", ExtMul(Neg(_A), _B)),
+    ("A + B**2", Add(_A, Power(_B, 2))),
+    ("A - B**2", _sub(_A, Power(_B, 2))),
+    ("A * B**2", GeoMul(_A, Power(_B, 2))),
+    ("A B**2", GeoMul(_A, Power(_B, 2))),
+    ("A ^ B**2", ExtMul(_A, Power(_B, 2))),
+    ("A + B^^2", Add(_A, Power(_B, 2, exterior=True))),
+    ("A - B^^2", _sub(_A, Power(_B, 2, exterior=True))),
+    ("A * B^^2", GeoMul(_A, Power(_B, 2, exterior=True))),
+    ("A B^^2", GeoMul(_A, Power(_B, 2, exterior=True))),
+    ("A ^ B^^2", ExtMul(_A, Power(_B, 2, exterior=True))),
+]
+
+
+@pytest.mark.parametrize("src, expected", PRECEDENCE_CASES, ids=[src for src, _ in PRECEDENCE_CASES])
+def test_parse_precedence_pairwise(src, expected):
+    e = parse(src, require_types=False)
+    assert e == expected
+    assert parse(render(e), require_types=False) == e
+
+
 def test_parse_powers_and_literals():
     assert parse("U:#3 ** 2") == Power(Var("U", rank=3), 2)
     assert parse("U:#2^^3") == Power(Var("U", rank=2), 3, exterior=True)
@@ -170,6 +232,9 @@ def test_render_forms():
     assert render(parse("U:#2 ^^ 2")) == "U:#2^^2"
     assert render(parse("U:1 - V:2")) == "U:1~ - V:2~"
     assert render(parse("3/2 * U:1")) == "3/2 * U:1~"
+    # a hand-built negative literal renders as a negation, which parse returns as Neg
+    assert render(ScalarLit(Fraction(-3))) == "-3"
+    assert parse("-3") == Neg(ScalarLit(Fraction(3)))
 
 
 def test_render_random_expressions_round_trip():

@@ -4,7 +4,14 @@ import random
 
 import pytest
 
-from quatype.algebra import ApproxMultivector, Multivector, Signature, blades_of_grades, random_multivector
+from quatype.algebra import (
+    ApproxMultivector,
+    Multivector,
+    Signature,
+    blades_of_grades,
+    random_multivector,
+    sample_blades,
+)
 from quatype.brackets import kfold
 from quatype.qtypes import (
     ANTICOMMUTATOR,
@@ -475,6 +482,14 @@ _CL12_ALL = (blades_of_grades(12, tuple(range(13))),)
 _CL12 = Signature(12, 0)
 # 2^50 2^12 = 2^62, the bound on the ℓ1 norm of an array-born value; a draw of width 2^20 takes 21-bit words
 _EDGE, _SPAN = 1 << 50, 1 << 20
+_CL8 = Signature(8, 0)
+_CL8_ALL = blades_of_grades(8, tuple(range(9)))
+# a group of m blades beside the other 256 - m of Cl(8,0): 256 blades in all,
+# so the draw is chunked, and each group's chunks run down to a single word;
+# [-300, 300] takes 10-bit words, whose top byte does not decide alone
+_CL8_SPLITS = [
+    ((_CL8_ALL[:m], _CL8_ALL[m:]), lo, hi) for m in (1, 2, 31, 32, 33) for lo, hi in ((-9, 9), (0, 0), (-300, 300))
+]
 
 
 @pytest.mark.parametrize(
@@ -514,6 +529,10 @@ _EDGE, _SPAN = 1 << 50, 1 << 20
         (lambda rng: random_multivector(_CL12, rng, lo=_EDGE - _SPAN, hi=_EDGE - 1), _CL12_ALL, _EDGE - _SPAN, _EDGE - 1, True),
         (lambda rng: random_multivector(_CL12, rng, lo=_EDGE - _SPAN + 1, hi=_EDGE), _CL12_ALL, _EDGE - _SPAN + 1, _EDGE, False),
         (lambda rng: random_multivector(_CL12, rng, lo=-_EDGE, hi=_SPAN - _EDGE), _CL12_ALL, -_EDGE, _SPAN - _EDGE, False),
+        *[
+            (lambda rng, groups=groups, lo=lo, hi=hi: sample_blades(_CL8, rng, groups, lo, hi), groups, lo, hi, True)
+            for groups, lo, hi in _CL8_SPLITS
+        ],
     ],
     ids=[
         "range-9..9",
@@ -528,6 +547,7 @@ _EDGE, _SPAN = 1 << 50, 1 << 20
         "Cl(12,0)-l1-under-2^62",
         "Cl(12,0)-l1-at-2^62",
         "Cl(12,0)-negative-l1-at-2^62",
+        *[f"Cl(8,0)-group-of-{len(groups[0])}-range{lo}..{hi}" for groups, lo, hi in _CL8_SPLITS],
     ],
 )
 def test_sampler_draws_as_randint(draw, groups, lo, hi, chunked):
