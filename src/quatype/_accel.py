@@ -118,6 +118,12 @@ def grade_residues(blades: np.ndarray) -> list[int]:
     return np.flatnonzero(np.bincount(np.bitwise_count(blades) & 3)).tolist()
 
 
+def doubled_part(blades: np.ndarray, values: np.ndarray, bit: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (blades, values) whose blade popcount has bit 1 equal to ``bit``, in order, values doubled."""
+    keep = np.bitwise_count(blades) & 2 == bit
+    return blades[keep], values[keep] * 2
+
+
 # ---------------------------------------------------------------------------
 # blade-pair products
 

@@ -8,6 +8,14 @@ of the same two products, and averaging the 2^(k-1) chains (with weight
 the parity of their commutator tags recovers the k-fold brackets themselves:
 an odd number of commutator tags sums (with weight 1/2^(k-2)) to the k-fold
 commutator, an even number to the anticommutator.
+
+Reversion reverses products, U_k ... U_1 = (U_1~ ... U_k~)~, and multiplies
+a grade-g blade by (-1)^(g(g-1)/2): it fixes the residues 0 and 1 mod 4 and
+negates 2 and 3, the bit 1 of the blade's popcount.  When that bit is the
+same on every blade of each operand, U_i~ = s_i U_i, and the reversed chain
+is ε (U_1 ... U_k)~ with ε = s_1 ... s_k.  Forward ∓ reversed then keeps one
+pair of residues of the forward chain and doubles it, so :func:`kfold`
+multiplies out that one chain: k - 1 products in place of 2(k - 1).
 """
 
 from __future__ import annotations
@@ -17,20 +25,80 @@ from fractions import Fraction
 from functools import reduce
 from typing import Sequence
 
-from .algebra import Multivector, geo_mul
+from . import _accel
+from .algebra import _INT64_SAFE_BOUND, Multivector, _from_arrays, geo_mul
 from .qtypes import ANTICOMMUTATOR, COMMUTATOR, BracketKind, as_kind, infer_kfold, infer_pair
 
 MAX_TREE_LEAVES = 6  # enumeration cost grows as 2^(k-1) trees
 
 
 def kfold(kind, us: Sequence[Multivector]) -> Multivector:
-    """k-fold bracket: forward product -/+ reversed product, k >= 2."""
+    """k-fold bracket: forward product -/+ reversed product, k >= 2.
+
+    When reversion sends every operand to ±itself, read off its blades (a
+    zero operand counts as fixed), the reversed chain is ε fwd~ (module
+    docstring) and is not multiplied out: the bracket is 2 P(fwd), where P
+    keeps the residues {2, 3} for a commutator with ε = 1 or an
+    anticommutator with ε = -1, and {0, 1} otherwise.  Both chains are
+    multiplied out when some operand has no sign or is resident.  Either
+    way the value and its coefficient types are those of forward -/+
+    reversed.
+
+    In floats, rounding leaves the forward chain of operands that read the
+    same backwards only nearly reversion-symmetric, so their commutator is
+    taken as fwd - fwd, exactly zero, as the two chains gave it.
+    """
     kind = as_kind(kind)
     if len(us) < 2:
         raise ValueError("k-fold brackets need at least two operands")
     fwd = reduce(geo_mul, us)
-    rev = reduce(geo_mul, reversed(us))
-    return fwd - rev if kind is COMMUTATOR else fwd + rev
+    if fwd._approx and kind is COMMUTATOR and us == us[::-1]:
+        return fwd - fwd
+    eps = 1
+    for u in us:
+        s = _reversion_sign(u)
+        if not s:
+            rev = reduce(geo_mul, reversed(us))
+            return fwd - rev if kind is COMMUTATOR else fwd + rev
+        eps *= s
+    return _doubled_part(fwd, 2 if (kind is COMMUTATOR) == (eps == 1) else 0)
+
+
+def _reversion_sign(u) -> int:
+    """s with u~ = s u, read off u's blades: 1 (also for u = 0) or -1; 0 if neither holds, or u is resident."""
+    c = u._coeffs
+    if c is None:
+        if u._arr is None:
+            # resident: its blades are not known without reading the matrix
+            return 0
+        bits = {r & 2 for r in _accel.grade_residues(u._arr[0])}
+    elif c and (next(iter(c)).bit_count() ^ next(reversed(c)).bit_count()) & 2:
+        # a draw lists its residues in ascending order, so its first and last
+        # blades show most operands that mix {0, 1} with {2, 3}
+        return 0
+    else:
+        bits = {b.bit_count() & 2 for b in c}
+    return 0 if len(bits) > 1 else -1 if 2 in bits else 1
+
+
+def _doubled_part(u, bit: int):
+    """2 P(u), P keeping the blades whose popcount has bit 1 equal to ``bit``: in u's form and order."""
+    c = u._coeffs
+    if c is None:
+        blades, values, total = u._int64()
+        if 2 * total < _INT64_SAFE_BOUND:
+            return _from_arrays(u.sig, *_accel.doubled_part(blades, values, bit))
+        c = u._dict()
+    # twice a Fraction in lowest terms is integral when its denominator is 2,
+    # and becomes an int, as every integral exact coefficient is kept
+    return u._make(
+        u.sig,
+        {
+            b: int(v + v) if type(v) is Fraction and v.denominator == 2 else v + v
+            for b, v in c.items()
+            if b.bit_count() & 2 == bit
+        },
+    )
 
 
 @dataclass(frozen=True)

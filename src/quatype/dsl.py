@@ -39,6 +39,7 @@ from .brackets import kfold
 from .powers import ext_power, ext_series_fn, series_fn
 from .qtypes import (
     ANTICOMMUTATOR,
+    COMMUTATOR,
     SERIES_NAMES,
     BracketKind,
     InfeasibleDeclarationError,
@@ -465,7 +466,11 @@ def infer(e: Expr) -> QType:
     if isinstance(e, ExtMul):
         return infer_ext_product_set([infer(e.left), infer(e.right)])
     if isinstance(e, Bracket):
-        return infer_kfold_set(e.kind, [infer(o) for o in e.operands])
+        types = [infer(o) for o in e.operands]
+        if e.kind is COMMUTATOR and e.operands == e.operands[::-1]:
+            # palindromic operands: the reversed product is the forward one
+            return QType()
+        return infer_kfold_set(e.kind, types)
     if isinstance(e, Power):
         return infer_power_set(infer(e.base), e.exponent, e.exterior)
     if isinstance(e, Fn):

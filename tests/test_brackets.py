@@ -1,12 +1,19 @@
 import itertools
+import math
+import operator
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import reduce
 
+import numpy as np
 import pytest
 
-from quatype.algebra import Multivector, Signature, grade_project, random_multivector
+from quatype import algebra
+from quatype.algebra import ApproxMultivector, Multivector, Signature, grade_project, random_multivector, sample_blades
 from quatype.brackets import (
     BracketTree,
+    _doubled_part,
     class_type_uniformity,
     enumerate_trees,
     eval_tree,
@@ -15,7 +22,16 @@ from quatype.brackets import (
     kfold,
     product_grade_envelope,
 )
-from quatype.qtypes import ANTICOMMUTATOR, COMMUTATOR, QType, infer_kfold, qtype_of, random_of_type
+from quatype.dsl import check
+from quatype.qtypes import (
+    ANTICOMMUTATOR,
+    COMMUTATOR,
+    QType,
+    _declared_blade_groups,
+    infer_kfold,
+    qtype_of,
+    random_of_type,
+)
 
 CL30 = Signature(3, 0)
 
@@ -106,6 +122,151 @@ def test_kfold_reversal_identity():
             comm = kfold(COMMUTATOR, us)
             assert anti + comm == 2 * fwd
             assert anti - comm == 2 * rev
+
+
+def _typed_terms(w):
+    # the coefficients with their types, as byte-equal values share them
+    return sorted((b, type(v), v) for b, v in w._dict().items())
+
+
+def _explicit_kfold(kind, us):
+    fwd = reduce(operator.mul, us)
+    rev = reduce(operator.mul, us[::-1])
+    return fwd - rev if kind is COMMUTATOR else fwd + rev
+
+
+# declarations whose blades reversion fixes (1~, 0~1~), negates (2~, 2~3~)
+# or treats alike by grade (a rank)
+_SIGNED = (QType({1}), QType({2}), QType({0, 1}), QType({2, 3}), "rank")
+
+
+def _draw(sig, rng, declaration, lo=-9, hi=9):
+    if declaration == "rank":
+        declaration = rng.randrange(sig.n + 1)
+    return sample_blades(sig, rng, _declared_blade_groups(sig, declaration), lo, hi)
+
+
+def _in_form(u, form):
+    """u as a dict-born, array-born, resident or float value."""
+    sig = u.sig
+    if form == "float":
+        return ApproxMultivector.from_exact(u)
+    copy = Multivector(sig, u._dict())
+    if form == "dict":
+        return copy
+    blades, values, total = copy._int64()
+    if form == "array":
+        return algebra._from_arrays(sig, blades, values)
+    return algebra._resident(sig, algebra._matrix(copy), total)
+
+
+@pytest.mark.parametrize("form", ["dict", "array", "resident", "float"])
+@pytest.mark.parametrize("sig", [Signature(3, 0), Signature(2, 1), Signature(0, 4), Signature(5, 3), Signature(12, 0)], ids=str)
+def test_kfold_of_signed_operands_equals_both_chains(sig, form, monkeypatch):
+    # every k-fold bracket of operands that reversion fixes or negates, in
+    # each form, byte-equals forward -/+ reversed multiplied out with * on
+    # dict-born (or float) copies.  Every form but a resident one runs one
+    # chain, k - 1 products.  Float operands hold small integers, so every
+    # product and sum on the way is exact: 2 d Π ‖u_i‖₁ < 2^53, which at
+    # n = 12 holds to k = 3
+    rng = random.Random(sig.p * 13 + sig.q)
+    lo, hi = (-2, 2) if form == "float" else (-9, 9)
+    ks = (2, 3) if form == "float" and sig.n == 12 else (2, 3, 4, 5)
+    cases = 0
+    for k in ks:
+        for start in range(len(_SIGNED)):
+            exact = [_draw(sig, rng, _SIGNED[(start + i) % len(_SIGNED)], lo, hi) for i in range(k)]
+            refs = [_in_form(u, "float" if form == "float" else "dict") for u in exact]
+            if form == "float":
+                assert 2 * (1 << ((sig.n + 1) >> 1)) * math.prod(u._int64()[2] for u in exact) < 1 << 53
+            for kind in (COMMUTATOR, ANTICOMMUTATOR):
+                us = [_in_form(u, form) for u in exact]
+                monkeypatch.setattr(algebra, "product_paths", Counter())
+                w = kfold(kind, us)
+                assert sum(algebra.product_paths.values()) == (2 if form == "resident" else 1) * (k - 1)
+                assert _typed_terms(w) == _typed_terms(_explicit_kfold(kind, refs)), (k, start, kind)
+                cases += 1
+    assert cases == 2 * len(_SIGNED) * len(ks)
+
+
+@pytest.mark.parametrize("form", ["dict", "array", "float"])
+def test_kfold_with_a_mixed_or_zero_operand(form, monkeypatch):
+    # an operand on 0~ and 2~ is neither fixed nor negated by reversion, so
+    # both chains run; a zero operand counts as fixed and gives zero
+    rng = random.Random(30)
+    for sig in (Signature(3, 0), Signature(2, 2)):
+        for k in (2, 3, 4, 5):
+            exact = [_draw(sig, rng, _SIGNED[i % len(_SIGNED)]) for i in range(k)]
+            exact[k // 2] = random_of_type(sig, rng, QType({0, 2}))
+            for kind in (COMMUTATOR, ANTICOMMUTATOR):
+                us = [_in_form(u, form) for u in exact]
+                monkeypatch.setattr(algebra, "product_paths", Counter())
+                w = kfold(kind, us)
+                assert sum(algebra.product_paths.values()) == 2 * (k - 1)
+                refs = [_in_form(u, "float" if form == "float" else "dict") for u in exact]
+                assert _typed_terms(w) == _typed_terms(_explicit_kfold(kind, refs))
+                us[k // 2] = us[k // 2] * 0
+                zero = kfold(kind, us)
+                assert not zero and type(zero) is type(us[0])
+
+
+def test_kfold_product_count():
+    # a bracket of operands that reversion fixes or negates multiplies out one
+    # chain, k - 1 products; one operand on 0~ and 2~ takes both, 2(k - 1)
+    rng = random.Random(31)
+    sig = Signature(3, 1)
+    for k in (2, 3, 4, 5):
+        signed = [random_of_type(sig, rng, QType({i % 4})) for i in range(1, k + 1)]
+        mixed = [*signed[:-1], random_of_type(sig, rng, QType({0, 2}))]
+        for us, products in ((signed, k - 1), (mixed, 2 * (k - 1))):
+            for kind in (COMMUTATOR, ANTICOMMUTATOR):
+                before = sum(algebra.product_paths.values())
+                kfold(kind, us)
+                assert sum(algebra.product_paths.values()) - before == products, (k, kind)
+
+
+def test_doubled_part_stays_in_arrays_below_the_bound():
+    # an array-born or resident forward chain is projected on its arrays,
+    # and stays array-born while twice its ℓ1 norm, 2 · 256 · scale here, is
+    # below 2^62
+    sig = Signature(4, 4)
+    blades = np.arange(1 << sig.n, dtype=np.int64)
+    for scale, born_as_arrays in ((1, True), ((1 << 53) - 1, True), (1 << 53, False)):
+        values = np.where(blades & 1, -scale, scale)
+        u = algebra._from_arrays(sig, blades, values)
+        for bit in (0, 2):
+            w = _doubled_part(u, bit)
+            assert (w._coeffs is None) == born_as_arrays
+            assert w._dict() == {b: 2 * v for b, v in zip(blades.tolist(), values.tolist()) if b.bit_count() & 2 == bit}
+    u = Multivector(sig, {b: b % 7 - 3 for b in range(1 << sig.n)})
+    total = u._int64()[2]
+    resident = algebra._resident(sig, algebra._matrix(u), total)
+    w = _doubled_part(resident, 2)
+    assert w._coeffs is None and w._arr is not None
+    assert _typed_terms(w) == sorted((b, int, 2 * v) for b, v in u._dict().items() if b.bit_count() & 2)
+
+
+def test_kfold_doubled_fraction_is_an_int():
+    # [e1/2, e2] = e12: the doubled Fraction comes back as the int 1, as every
+    # integral exact coefficient does
+    sig = Signature(2, 0)
+    half = Multivector(sig, {0b01: Fraction(1, 2)})
+    w = kfold(COMMUTATOR, [half, Multivector.generator(sig, 2)])
+    assert w._dict() == {0b11: 1} and type(w.coefficient(0b11)) is int
+    w = kfold(ANTICOMMUTATOR, [half, Multivector(sig, {0b10: Fraction(3, 4)})])
+    assert w == Multivector.zero(sig)
+    w = kfold(ANTICOMMUTATOR, [half, Multivector(sig, {0b01: Fraction(3, 2)})])
+    assert _typed_terms(w) == [(0, Fraction, Fraction(3, 2))]
+    w = kfold(ANTICOMMUTATOR, [half, half * 2])
+    assert _typed_terms(w) == [(0, int, 1)]
+
+
+def test_float_palindromic_commutator_is_exactly_zero():
+    # sinh of a vector is a vector, so [S, V, S] runs one chain, whose
+    # rounding leaves it only nearly reversion-symmetric; its commutator is
+    # still exactly zero, as infer's ⊥ for the palindrome claims
+    report = check("[sinh(U:#1), V:#2, sinh(U)]", Signature(4, 1), trials=300, seed=0)
+    assert report.ok and report.inferred == QType() and report.observed == QType()
 
 
 # ---------------------------------------------------------------------------

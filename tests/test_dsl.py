@@ -319,6 +319,16 @@ def test_infer_palindrome_aliasing_is_syntactic():
     assert infer(parse("U:1 * V:3 * V:3 * U:1")) == QType({0})
     # different outer variables: only the parity envelope is sound
     assert infer(parse("U:1 * V:3 * V:3 * W:1")) == QType({0, 2})
+    # a bracket whose operands read the same backwards: its commutator is 0,
+    # its anticommutator keeps the k-fold type
+    assert infer(parse("[U:1, V:2, U]")) == QType()
+    assert infer(parse("[U:0, U]")) == QType()
+    assert infer(parse("[U:1 * V:2, W:3, U * V]")) == QType()
+    assert infer(parse("{U:1, V:2, U}")) == QType({2})
+    assert infer(parse("{U:0, U}")) == QType({0})
+    # equal operands that are not the same AST, or another variable, do not count
+    assert infer(parse("[U:1, V:2, W:1]")) == QType({0})
+    assert infer(parse("[U:1 * V:2, W:3, V * U]")) == QType({1, 3})
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +366,7 @@ def test_check_aliasing_shares_samples():
     report = check("[U:0, U:0]", Signature(4, 0), trials=25, seed=0)
     assert report.ok
     assert report.observed == QType()  # [U, U] is exactly zero every trial
-    assert not report.tight  # zero never exhausts the inferred {2}
+    assert report.inferred == QType() and report.tight  # a palindromic commutator infers ⊥
 
 
 def test_check_pair_soundness():
