@@ -24,7 +24,8 @@ d-bit masks and a phase i^k, so a multivector goes there and back by one
 d x d matrix product.  :func:`spinor_table` holds everything a conversion
 reads: the masks, the sign matrix and the cell index, cached per n by
 :func:`spinor_form`, plus the one table a signature adds, its phases i^k
-as a complex64 vector.  The Clifford series run there in float64
+as a complex64 vector.  The Clifford series that
+:mod:`quatype.powers` cannot take in closed form run there in float64
 (:func:`spinor_series`).  A geometric product there is one complex128
 matrix product: O(2^1.5n) work in place of the kernel's O(4^n) blade
 pairs.  Float operands take it whole

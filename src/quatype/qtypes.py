@@ -310,7 +310,11 @@ def infer_power_set(t: QType, m: int, exterior: bool = False) -> QType:
 
 def power_types_by_parity(t: Iterable[int], exterior: bool = False) -> tuple[QType, QType]:
     """Types reachable by even / odd powers of an element of type t: unions over its power reach sets."""
-    t = frozenset(t)
+    return _types_by_parity(frozenset(t), exterior)
+
+
+@lru_cache(maxsize=None)
+def _types_by_parity(t: frozenset, exterior: bool) -> tuple[QType, QType]:
     by_parity = (set(), set())
     for m in range(2 * len(_power_reach(t, exterior)[0])):  # every entry of the cycle at both parities
         by_parity[m & 1].update(infer_power_set(t, m, exterior))

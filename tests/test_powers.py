@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from quatype import _accel, algebra
+from quatype import _accel, algebra, powers
 from quatype.algebra import (
     ApproxMultivector,
     Multivector,
@@ -29,7 +29,7 @@ from quatype.powers import (
     predict_series_qtype,
     series_fn,
 )
-from quatype.qtypes import QType, qtype_of, qtype_of_approx, random_of_type, series_type
+from quatype.qtypes import QType, qtype_of, qtype_of_approx, random_of_type, series_rule, series_type
 
 
 def ext_power_ordered_oracle(u, m):
@@ -273,11 +273,20 @@ def test_series_exp_zero_and_scalar():
     assert r.coefficient(0) == pytest.approx(math.e, rel=1e-12)
 
 
+SERIES = ("exp", "sin", "cos", "sinh", "cosh")
+
+
+def spinor_fn(name, u):
+    """The series of u on the spinor route alone, which series_fn skips for an operand whose non-scalar part squares to a scalar."""
+    sig = u.sig
+    return ApproxMultivector._make(sig, _accel.spinor_series(u._coeffs, sig.neg_mask, sig.n, *series_rule(name)))
+
+
 def test_series_exp_bivector_closed_form():
     # (e12)^2 = -e in Cl(2,0), so exp(a e12) = cos(a) e + sin(a) e12
     s2 = Signature(2, 0)
-    for alpha in (1.0, 0.5, -2.2):
-        r = series_fn("exp", ApproxMultivector(s2, {0b11: alpha}))
+    for fn, alpha in itertools.product((series_fn, spinor_fn), (1.0, 0.5, -2.2)):
+        r = fn("exp", ApproxMultivector(s2, {0b11: alpha}))
         assert r.coefficient(0) == pytest.approx(math.cos(alpha), abs=1e-9)
         assert r.coefficient(0b11) == pytest.approx(math.sin(alpha), abs=1e-9)
         assert set(r._dict()) <= {0, 0b11}
@@ -364,23 +373,43 @@ def test_series_policy_and_divergence():
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_series_of_non_finite_operand_is_non_finite(bad):
     # the result has no type, so classify raises; no OverflowError from the
-    # scaling step count and no RuntimeWarning on the way
-    u = ApproxMultivector(Signature(3, 0), {0b001: 0.5, 0b110: bad})
+    # scaling step count and no RuntimeWarning on the way.  The second operand
+    # qualifies for the closed form, and its non-finite α sends it to the
+    # spinor route
+    s3 = Signature(3, 0)
+    cases = [(ApproxMultivector(s3, {0b001: 0.5, 0b110: bad}), SERIES), (ApproxMultivector(s3, {0b001: bad}), SERIES)]
+    _assert_non_finite(cases)
+
+
+def test_series_overflow_in_closed_form_is_non_finite():
+    # math.cosh(800) and math.exp(1000) raise OverflowError: these operands
+    # qualify for the closed form and take the spinor route instead
+    s3 = Signature(3, 0)
+    cases = [(ApproxMultivector(s3, {0b001: 800.0}), ("exp", "sinh")), (ApproxMultivector.scalar(s3, 1000.0), ("exp",))]
+    _assert_non_finite(cases)
+
+
+def _assert_non_finite(cases):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for name in ("exp", "sin", "cos", "sinh", "cosh"):
-            r = series_fn(name, u)
-            assert not all(math.isfinite(v) for _, v in r.terms()), name
-            with pytest.raises(ValueError, match="non-finite"):
-                qtype_of_approx(r)
+        for u, names in cases:
+            for name in names:
+                spinor_runs = powers.series_paths["spinor"]
+                r = series_fn(name, u)
+                assert powers.series_paths["spinor"] == spinor_runs + 1, (u, name)
+                assert not all(math.isfinite(v) for _, v in r.terms()), (u, name)
+                with pytest.raises(ValueError, match="non-finite"):
+                    qtype_of_approx(r)
 
 
 def test_series_exp_keeps_type_under_decaying_eigenvalues():
     # X has an eigenvalue near -21, where cosh and sinh are near +-e^21 / 2:
-    # exp summed as cosh + sinh would leave noise of e^21 ulps in grade 2
+    # exp summed as cosh + sinh would leave noise of e^21 ulps in grade 2; the
+    # closed form leaves none
     u = ApproxMultivector(Signature(0, 5), {0: -9.0, 15: -5.0, 23: -2.0, 27: -9.0, 29: 3.0, 30: -9.0})
-    r = series_fn("exp", u)
-    assert max(abs(v) for b, v in r.terms() if blade_grade(b) % 4) <= 1e-13 * r.max_abs()
+    for fn in (series_fn, spinor_fn):
+        r = fn("exp", u)
+        assert max((abs(v) for b, v in r.terms() if blade_grade(b) % 4), default=0.0) <= 1e-13 * r.max_abs()
 
 
 def dict_series_oracle(name, u):
@@ -475,7 +504,7 @@ def test_series_matches_exact_taylor_sum():
 def test_series_of_integer_vectors_match_closed_forms():
     # v v = ±r^2 for a vector v of Cl(n,0) or Cl(0,n), so each series of v is a
     # function of r times 1 or v / r; coefficients up to 9 put ‖X‖∞ past 4, so
-    # these run the doublings
+    # the spinor route runs the doublings
     rng = random.Random(23)
     for n in range(3, 7):
         for sig in (Signature(n, 0), Signature(0, n)):
@@ -495,22 +524,24 @@ def test_series_of_integer_vectors_match_closed_forms():
                     "cos": (circ[0], 0.0),
                     "sin": (0.0, circ[1]),
                 }
-                for name, (even, odd) in parts.items():
+                for (name, (even, odd)), fn in itertools.product(parts.items(), (series_fn, spinor_fn)):
                     want = {0: even, **{b: odd * v for b, v in u.terms()}}
-                    got = series_fn(name, u)
+                    got = fn(name, u)
                     bound = 1e-12 * max(1.0, *map(abs, want.values()))
                     for b in set(got._dict()) | set(want):
-                        assert abs(got.coefficient(b) - want.get(b, 0.0)) <= bound, (sig, u.terms(), name, b)
+                        assert abs(got.coefficient(b) - want.get(b, 0.0)) <= bound, (sig, u.terms(), name, fn, b)
 
 
 def test_series_of_a_long_vector_matches_math():
-    # ‖X‖∞ = 700 takes 8 doublings, and cosh 700 is within a factor 2^15 of overflow
+    # on the spinor route ‖X‖∞ = 700 takes 8 doublings, and cosh 700 is within
+    # a factor 2^15 of overflow
     u = ApproxMultivector(Signature(3, 0), {0b001: 700.0})
-    for name, want in (("exp", {0: math.cosh(700), 0b001: math.sinh(700)}), ("sinh", {0b001: math.sinh(700)})):
-        got = series_fn(name, u)
+    wants = (("exp", {0: math.cosh(700), 0b001: math.sinh(700)}), ("sinh", {0b001: math.sinh(700)}))
+    for (name, want), fn in itertools.product(wants, (series_fn, spinor_fn)):
+        got = fn(name, u)
         bound = 1e-12 * max(want.values())
         for b in set(got._dict()) | set(want):
-            assert abs(got.coefficient(b) - want.get(b, 0.0)) <= bound, (name, b)
+            assert abs(got.coefficient(b) - want.get(b, 0.0)) <= bound, (name, fn, b)
 
 
 def test_series_exp_vector_closed_form_n9():
@@ -519,11 +550,57 @@ def test_series_exp_vector_closed_form_n9():
     sig = Signature(9, 0)
     u = ApproxMultivector(sig, {1 << i: rng.uniform(-0.5, 0.5) for i in range(9)})
     norm = math.sqrt(sum(v * v for _, v in u.terms()))
-    got = series_fn("exp", u)
     want = {0: math.cosh(norm), **{b: math.sinh(norm) * v / norm for b, v in u.terms()}}
-    for b in set(got._dict()) | set(want):
-        # e_i e_j + e_j e_i cancels only to rounding: the bivector part is noise
-        assert got.coefficient(b) == pytest.approx(want.get(b, 0.0), rel=1e-12, abs=1e-15), b
+    for fn in (series_fn, spinor_fn):
+        got = fn("exp", u)
+        for b in set(got._dict()) | set(want):
+            # on the spinor route e_i e_j + e_j e_i cancels only to rounding:
+            # the bivector part is noise
+            assert got.coefficient(b) == pytest.approx(want.get(b, 0.0), rel=1e-12, abs=1e-15), (fn, b)
+
+
+def _closed_form_operands():
+    """Operands s + N whose non-scalar part N squares to a scalar, over n = 1..8 and 12 and p = 0, n // 2, n.
+
+    N is zero, a vector, an (n-1)-vector, the pseudoscalar or, at n = 4, the
+    grade-2 blade e12, each with and without a scalar part; the integer
+    coefficients in [-9, 9] are scaled by 0.1, 1 and 9.
+    """
+    rng = random.Random(27)
+    for n in [*range(1, 9), 12]:
+        parts = [(), tuple(1 << i for i in range(n)), tuple(((1 << n) - 1) ^ (1 << i) for i in range(n)), ((1 << n) - 1,)]
+        if n == 4:
+            parts.append((0b11,))
+        for p in sorted({0, n // 2, n}):
+            sig = Signature(p, n - p)
+            for blades, with_scalar, scale in itertools.product(parts, (False, True), (0.1, 1.0, 9.0)):
+                coeffs = {b: scale * rng.choice([c for c in range(-9, 10) if c]) for b in blades if b}
+                if with_scalar:
+                    coeffs[0] = scale * rng.choice([c for c in range(-9, 10) if c])
+                yield ApproxMultivector(sig, coeffs)
+
+
+def test_closed_form_series_match_spinor_route():
+    for u in _closed_form_operands():
+        for name in SERIES:
+            closed_runs = powers.series_paths["closed"]
+            got, ref = series_fn(name, u), spinor_fn(name, u)
+            assert powers.series_paths["closed"] == closed_runs + 1, (u, name)
+            bound = 1e-12 * max(1.0, ref.max_abs())
+            for b in set(got._dict()) | set(ref._dict()):
+                assert abs(got.coefficient(b) - ref.coefficient(b)) <= bound, (u, name, b)
+
+
+def test_series_outside_the_closed_form_take_the_spinor_route():
+    # N^2 = -2 + 2 e1234 for N = e12 + e34, and a 0~2~ operand at n = 4 has
+    # blades of grades 2 and 4 in N: neither squares to a scalar
+    s4 = Signature(4, 0)
+    for u in (ApproxMultivector(s4, {0b0011: 0.5, 0b1100: 0.25}), ApproxMultivector(s4, {0: 1.0, 0b0101: 0.5, 0b1111: -0.5})):
+        for name in SERIES:
+            before = Counter(powers.series_paths)
+            got = series_fn(name, u)
+            assert powers.series_paths - before == Counter(spinor=1), (u, name)
+            assert got == spinor_fn(name, u), (u, name)
 
 
 # ---------------------------------------------------------------------------
