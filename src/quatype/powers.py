@@ -8,12 +8,15 @@ the two-factor grade envelope and keeping that residue at every step
 reproduces the dimension-aware refinements for every m.
 
 Of the five elementary functions, the Clifford series run in floating point
-on one of two routes, picked per call from the operand's blades.  An operand
-s + N whose non-scalar part N squares to a scalar α (a single blade, or
-blades all of grade 1 or all of grade n - 1) takes the classical closed
-form A + B N (Lounesto, *Clifford Algebras and Spinors*, 2001) in pure
-Python; any other operand runs as a matrix function in the spinor
-representation of :mod:`quatype._accel`, by scaling and doubling (Higham,
+on one of two routes, picked per call from the operand's blades.  For an
+operand s + N, N^2 is a scalar α plus a part M that commutes with N (of
+type 0 when N has a main type).  When the grades of N's blades show that
+M^2 is a scalar γ, every function of N lies in span{1, M} + span{1, M} N
+and the operand takes the classical closed forms (Lounesto, *Clifford
+Algebras and Spinors*, 2001), extended to that two-dimensional
+commutative algebra, in pure Python.  Any other operand runs as a matrix
+function in the spinor representation of :mod:`quatype._accel`, by
+scaling and doubling (Higham,
 "The scaling and squaring method for the matrix exponential revisited",
 SIAM J. Matrix Anal. Appl. 2005).  ``series_paths`` counts the calls each
 route ran, keyed ``closed`` and ``spinor``.  The exterior series are finite
@@ -23,13 +26,15 @@ sum, and their signs, from :func:`series_rule`.
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 from . import _accel
-from .algebra import ApproxMultivector, Signature, _power
+from .algebra import ApproxMultivector, Signature, _power, sign_word
 from .brackets import product_grade_envelope
 from .qtypes import QType, _check_main, infer_power_set, series_rule, series_type
 
@@ -111,43 +116,115 @@ def predict_series_qtype(name: str, t: int) -> QType:
 series_paths: Counter = Counter()
 
 
-def _closed_series(coeffs: dict, sig: Signature, parities: tuple[int, ...], trig: bool) -> dict | None:
-    """The series of s + N as a coefficient dict when N^2 = α is a scalar; None when the spinor route must run.
+@lru_cache(maxsize=None)
+def _cross_grades(n: int, grades: frozenset) -> frozenset | None:
+    """Grades that M = N^2 - α can hold when N's blades have these grades; None when M^2 need not be a scalar.
 
-    N^2 is a scalar when N is a single blade, or when its blades all have
-    grade 1 or all have grade n - 1 (an (n-1)-vector is v I, with square
-    ±v^2 I^2): then the cross terms of N^2 cancel, and α is Σ c_b^2 e_b^2
-    with e_b^2 = (-1)^(g(g-1)/2 + popcount(b & neg_mask)).  With a = √|α|,
-    cosh N = cosh a and sinh N = N sinh a / a for α > 0, cos a and
-    N sin a / a for α < 0, and 1 and N for α = 0; cos and sin swap the two
-    forms.  s is central, so exp(s + N) = e^s (cosh N + sinh N),
-    sin(s + N) = sin s cos N + cos s sin N and so on; exact zeros are
-    dropped.  A non-finite s or α, or an overflow in :mod:`math`, returns
-    None: the spinor route gives its non-finite coefficients.
+    Distinct blades of grades g and h that share j generators commute iff
+    gh - j is even, and their product then has grade g + h - 2j.  The cross
+    terms of anticommuting pairs cancel in N^2, so M is the sum of the
+    commuting ones and these are its only grades.  M^2 is a scalar, by the
+    rule for α, when M has no grade outside {1}, outside {n - 1} or outside
+    {n}.
+    """
+    out = {
+        g + h - 2 * j
+        for g in grades
+        for h in grades
+        if g <= h
+        for j in range(max(0, g + h - n), g + 1)
+        if not (g * h - j) & 1 and j < h
+    }
+    return frozenset(out) if out <= {1} or out <= {n - 1} or out <= {n} else None
+
+
+def _square(terms, neg_mask: int) -> float:
+    """Σ c_b^2 e_b^2 over (blade, coefficient) pairs: the square of their sum when its cross terms cancel.
+
+    e_b^2 = (-1)^(g(g-1)/2 + popcount(b & neg_mask)) for a blade b of grade g.
+    """
+    out = 0.0
+    for b, c in terms:
+        g = b.bit_count()
+        out += -c * c if (g * (g - 1) // 2 + (b & neg_mask).bit_count()) & 1 else c * c
+    return out
+
+
+def _even_odd(z: float) -> tuple[float, float]:
+    """C(z) = cosh √z and S(z) = sinh √z / √z at a real z: cos √-z and sin √-z / √-z below 0, and 1 at 0."""
+    if z > 0:
+        r = math.sqrt(z)
+        return math.cosh(r), math.sinh(r) / r
+    if z < 0:
+        r = math.sqrt(-z)
+        return math.cos(r), math.sin(r) / r
+    return 1.0, 1.0
+
+
+def _closed_series(coeffs: dict, sig: Signature, parities: tuple[int, ...], trig: bool) -> dict | None:
+    """The series of s + N as a coefficient dict when N^2 = α + M with M^2 = γ a scalar; None when the spinor route must run.
+
+    α is Σ c_b^2 e_b^2 over N's blades (:func:`_square`).  M is the sum of
+    the cross terms 2 c_a c_b e_a e_b of the pairs of N's blades that
+    commute, so it commutes with N.  :func:`_cross_grades` admits N by its
+    grade set before any arithmetic, and a single blade always (M = 0).  γ
+    is read off M's blades by the rule for α.
+
+    With C(z) = cosh √z and S(z) = sinh √z / √z, cosh N = C(N^2) and
+    sinh N = S(N^2) N; cos and sin take -N^2 = -α - M.  In span{1, M},
+    F(z + M) = F0 + F1 M, where F0 and F1 are F(z) and 0 for M = 0; the
+    mean of F(z ± √γ) and their difference over 2√γ for γ > 0; and the real
+    part of F(z + i√-γ) and its imaginary part over √-γ, by :mod:`cmath`,
+    for γ < 0.  The function of N is then (C0 + C1 M) + (S0 + S1 M) N, with
+    M N summed by the sign rule of :func:`quatype.algebra.sign_word`.  s is
+    central: exp(s + N) = e^s (cosh N + sinh N),
+    sin(s + N) = sin s cos N + cos s sin N and so on.  Exact zeros are
+    dropped.
+
+    None is returned for a non-finite s, α or γ, an overflow in :mod:`math`
+    or :mod:`cmath`, and a nonzero M with √|γ| below 1e-3 Σ|M_b|, an
+    exactly null M (γ = 0) among them: there F1, a difference quotient or
+    an imaginary part over √|γ|, would lose more than three digits.
     """
     s = coeffs.get(0, 0.0)
-    blades = [b for b in coeffs if b]
-    if len(blades) > 1:
-        grades = {b.bit_count() for b in blades}
-        if len(grades) > 1 or grades.pop() not in (1, sig.n - 1):
-            return None
-    alpha = 0.0
-    for b in blades:
-        g, c = b.bit_count(), coeffs[b]
-        alpha += -c * c if (g * (g - 1) // 2 + (b & sig.neg_mask).bit_count()) & 1 else c * c
+    terms = [(b, c) for b, c in coeffs.items() if b]
+    neg_mask = sig.neg_mask
+    cross = _cross_grades(sig.n, frozenset([b.bit_count() for b, _ in terms])) if len(terms) > 1 else frozenset()
+    if cross is None:
+        return None
+    alpha = _square(terms, neg_mask)
     if not (math.isfinite(s) and math.isfinite(alpha)):
         return None
-    # on finite arguments, math raises only OverflowError
+    m: dict = {}
+    if cross:
+        for i, (a, x) in enumerate(terms):
+            w, g, x = sign_word(a, neg_mask), a.bit_count(), 2 * x
+            for b, y in terms[i + 1 :]:
+                if not (g * b.bit_count() - (a & b).bit_count()) & 1:
+                    v = x * y
+                    m[a ^ b] = m.get(a ^ b, 0.0) + (-v if (w & b).bit_count() & 1 else v)
+        m = {b: v for b, v in m.items() if v}
+    gamma = _square(m.items(), neg_mask)
+    if not math.isfinite(gamma):
+        return None
+    # F1 is a difference quotient over √|γ|, or an imaginary part over it;
+    # near a null M (exactly null included) it loses the digits √|γ| lacks against M
+    h = math.sqrt(abs(gamma))
+    if m and h < 1e-3 * sum(map(abs, m.values())):
+        return None
+    # the argument of C and S: N^2 for cosh and sinh, -N^2 = -α - M for cos and sin
+    z = -alpha if trig else alpha
+    # on finite arguments, math and cmath raise only OverflowError
     try:
-        # (even, odd) parts of the function of N alone, the odd one as a multiple
-        # of N: hyperbolic in a for cosh and sinh when α > 0, for cos and sin when α < 0
-        a = math.sqrt(abs(alpha))
-        if not alpha:
-            even = odd = 1.0
-        elif (alpha > 0) != trig:
-            even, odd = math.cosh(a), math.sinh(a) / a
+        if not m:
+            (c0, s0), c1, s1 = _even_odd(z), 0.0, 0.0
+        elif gamma > 0:
+            (cp, sp), (cm, sm) = _even_odd(z + h), _even_odd(z - h)
+            c0, c1, s0, s1 = 0.5 * cp + 0.5 * cm, (cp - cm) / (2 * h), 0.5 * sp + 0.5 * sm, (sp - sm) / (2 * h)
         else:
-            even, odd = math.cos(a), math.sin(a) / a
+            r = cmath.sqrt(complex(z, h))
+            c, sr = cmath.cosh(r), cmath.sinh(r) / r
+            c0, c1, s0, s1 = c.real, c.imag / h, sr.real, sr.imag / h
         if len(parities) == 2:
             scalar_even = scalar_odd = math.exp(s)
         elif trig:
@@ -156,26 +233,38 @@ def _closed_series(coeffs: dict, sig: Signature, parities: tuple[int, ...], trig
             scalar_even, scalar_odd = math.cosh(s), math.sinh(s)
     except OverflowError:
         return None
+    if trig:
+        c1, s1 = -c1, -s1
     if parities == (1,):
-        A, B = scalar_odd * even, scalar_even * odd
+        A, B = scalar_odd, scalar_even
     else:
         # cos(s + N) = cos s cos N - sin s sin N; cosh and exp add
-        A, B = scalar_even * even, (-scalar_odd if trig else scalar_odd) * odd
-    out = {0: A} if A else {}
-    for b in blades:
-        if v := B * coeffs[b]:
-            out[b] = v
-    return out
+        A, B = scalar_even, (-scalar_odd if trig else scalar_odd)
+    # (A C0 + A C1 M) + (B S0 + B S1 M) N, the products by the sign rule of algebra._mul_sparse
+    out = {0: A * c0}
+    B0 = B * s0
+    for b, c in terms:
+        out[b] = B0 * c
+    if m:
+        A1, B1 = A * c1, B * s1
+        for a, x in m.items():
+            out[a] = out.get(a, 0.0) + A1 * x
+            w, x = sign_word(a, neg_mask), B1 * x
+            for b, y in terms:
+                v = x * y
+                out[a ^ b] = out.get(a ^ b, 0.0) + (-v if (w & b).bit_count() & 1 else v)
+    return {b: v for b, v in out.items() if v}
 
 
 def series_fn(name: str, u: ApproxMultivector) -> ApproxMultivector:
     """Evaluate exp/sin/cos/sinh/cosh of u, in closed form or as a spinor matrix function.
 
-    An operand s + N whose non-scalar part squares to a scalar takes the
-    closed form of :func:`_closed_series`; any other operand, and one whose
-    closed form would overflow, runs as a matrix function in the spinor
-    representation (:func:`quatype._accel.spinor_series`).  A non-finite
-    coefficient in u, or an overflow, gives non-finite results.
+    An operand s + N whose N^2 = α + M has M^2 a scalar, by the grades of
+    N's blades, takes the closed form of :func:`_closed_series`.  Any other
+    operand, and one whose closed form would overflow or whose M is null
+    or nearly so, runs as a matrix function in the spinor representation
+    (:func:`quatype._accel.spinor_series`).  A non-finite coefficient in u,
+    or an overflow, gives non-finite results.
     """
     parities, trig = series_rule(name)
     if not isinstance(u, ApproxMultivector):

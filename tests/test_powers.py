@@ -20,6 +20,7 @@ from quatype.algebra import (
     random_multivector,
 )
 from quatype.powers import (
+    _cross_grades,
     cl_power,
     ext_power,
     ext_series_fn,
@@ -373,19 +374,36 @@ def test_series_policy_and_divergence():
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_series_of_non_finite_operand_is_non_finite(bad):
     # the result has no type, so classify raises; no OverflowError from the
-    # scaling step count and no RuntimeWarning on the way.  The second operand
-    # qualifies for the closed form, and its non-finite α sends it to the
-    # spinor route
+    # scaling step count and no RuntimeWarning on the way.  The first two
+    # operands qualify for the closed form, and their non-finite α sends them
+    # to the spinor route
     s3 = Signature(3, 0)
-    cases = [(ApproxMultivector(s3, {0b001: 0.5, 0b110: bad}), SERIES), (ApproxMultivector(s3, {0b001: bad}), SERIES)]
+    cases = [
+        (ApproxMultivector(s3, {0b001: 0.5, 0b110: bad}), SERIES),
+        (ApproxMultivector(s3, {0b001: bad}), SERIES),
+        (ApproxMultivector(Signature(4, 0), {0b0011: 0.5, 0b1100: bad}), SERIES),
+    ]
     _assert_non_finite(cases)
 
 
 def test_series_overflow_in_closed_form_is_non_finite():
     # math.cosh(800) and math.exp(1000) raise OverflowError: these operands
-    # qualify for the closed form and take the spinor route instead
+    # qualify for the closed form and take the spinor route instead.  The
+    # last three are c (e_a + e_b) for two disjoint bivectors, so M = ±2c^2 e1234.
+    # C and S are taken at 2c^2 ± 2c^2, so at 4c^2 = 640 000 where
+    # math.cosh(800) overflows, for exp, sinh and cosh in Cl(2,2) (N^2 has
+    # α = 2c^2) and for sin and cos in Cl(4,0) (-N^2 has 2c^2); and at
+    # 2c^2 i in Cl(3,1) (α = 0, γ < 0), where cmath.cosh(1000 + 1000i) overflows.
+    # At c = 1e100 in Cl(4,0), α = -2e200 is finite and γ = 4c^4 overflows to inf
     s3 = Signature(3, 0)
-    cases = [(ApproxMultivector(s3, {0b001: 800.0}), ("exp", "sinh")), (ApproxMultivector.scalar(s3, 1000.0), ("exp",))]
+    cases = [
+        (ApproxMultivector(s3, {0b001: 800.0}), ("exp", "sinh")),
+        (ApproxMultivector.scalar(s3, 1000.0), ("exp",)),
+        (ApproxMultivector(Signature(2, 2), {0b0101: 400.0, 0b1010: 400.0}), ("exp", "sinh", "cosh")),
+        (ApproxMultivector(Signature(4, 0), {0b0011: 400.0, 0b1100: 400.0}), ("sin", "cos")),
+        (ApproxMultivector(Signature(3, 1), {0b0011: 1000.0, 0b1100: 1000.0}), SERIES),
+        (ApproxMultivector(Signature(4, 0), {0b0011: 1e100, 0b1100: 1e100}), SERIES),
+    ]
     _assert_non_finite(cases)
 
 
@@ -559,25 +577,45 @@ def test_series_exp_vector_closed_form_n9():
             assert got.coefficient(b) == pytest.approx(want.get(b, 0.0), rel=1e-12, abs=1e-15), (fn, b)
 
 
-def _closed_form_operands():
-    """Operands s + N whose non-scalar part N squares to a scalar, over n = 1..8 and 12 and p = 0, n // 2, n.
+def _grade_blades(n, *grades):
+    return tuple(b for b in range(1, 1 << n) if b.bit_count() in grades)
 
-    N is zero, a vector, an (n-1)-vector, the pseudoscalar or, at n = 4, the
-    grade-2 blade e12, each with and without a scalar part; the integer
-    coefficients in [-9, 9] are scaled by 0.1, 1 and 9.
+
+def _closed_form_operands():
+    """Operands s + N whose N^2 = α + M has M^2 a scalar, over n = 1..8 and 12.
+
+    N is zero, a vector, an (n-1)-vector or the pseudoscalar at p = 0,
+    n // 2 and n.  At every p, N is a vector plus the pseudoscalar below
+    n = 12, e12 + e34 and all bivectors at n = 4 and 5, all trivectors at
+    n = 5, and all vectors plus all bivectors, and all bivectors plus the
+    pseudoscalar, at n = 3.  The single blades e12 at n = 4, and e12 and
+    e123 at n = 6, where the gate refuses grades {2} and {3} for more than
+    one blade, check the admission of a single blade.  Each comes with and without a scalar part; the
+    integer coefficients in [-9, 9] are scaled by 0.1, 1 and 9.  None of
+    them has an exactly null M (M != 0, M^2 = 0), which the spinor route
+    takes.
     """
     rng = random.Random(27)
+    widened = {
+        3: [_grade_blades(3, 1, 2), _grade_blades(3, 2, 3)],
+        4: [(0b0011,), (0b0011, 0b1100), _grade_blades(4, 2)],
+        5: [_grade_blades(5, 2), _grade_blades(5, 3), _grade_blades(5, 1, 5)],
+        6: [(0b000011,), (0b000111,)],
+    }
     for n in [*range(1, 9), 12]:
-        parts = [(), tuple(1 << i for i in range(n)), tuple(((1 << n) - 1) ^ (1 << i) for i in range(n)), ((1 << n) - 1,)]
-        if n == 4:
-            parts.append((0b11,))
-        for p in sorted({0, n // 2, n}):
-            sig = Signature(p, n - p)
-            for blades, with_scalar, scale in itertools.product(parts, (False, True), (0.1, 1.0, 9.0)):
-                coeffs = {b: scale * rng.choice([c for c in range(-9, 10) if c]) for b in blades if b}
-                if with_scalar:
-                    coeffs[0] = scale * rng.choice([c for c in range(-9, 10) if c])
-                yield ApproxMultivector(sig, coeffs)
+        parts = [(), _grade_blades(n, 1), _grade_blades(n, n - 1), _grade_blades(n, n)]
+        # at n = 12 the spinor route's 4 096 noise coefficients would make a
+        # vector plus the pseudoscalar most of the test's time
+        every_p = widened.get(n, []) + ([_grade_blades(n, 1, n)] if n < 12 else [])
+        shapes = [(parts, sorted({0, n // 2, n})), (every_p, range(n + 1))]
+        for blade_sets, ps in shapes:
+            for p in ps:
+                sig = Signature(p, n - p)
+                for blades, with_scalar, scale in itertools.product(blade_sets, (False, True), (0.1, 1.0, 9.0)):
+                    coeffs = {b: scale * rng.choice([c for c in range(-9, 10) if c]) for b in blades}
+                    if with_scalar:
+                        coeffs[0] = scale * rng.choice([c for c in range(-9, 10) if c])
+                    yield ApproxMultivector(sig, coeffs)
 
 
 def test_closed_form_series_match_spinor_route():
@@ -587,20 +625,85 @@ def test_closed_form_series_match_spinor_route():
             got, ref = series_fn(name, u), spinor_fn(name, u)
             assert powers.series_paths["closed"] == closed_runs + 1, (u, name)
             bound = 1e-12 * max(1.0, ref.max_abs())
-            for b in set(got._dict()) | set(ref._dict()):
-                assert abs(got.coefficient(b) - ref.coefficient(b)) <= bound, (u, name, b)
+            g, r = got._dict(), ref._dict()
+            for b in g.keys() | r.keys():
+                assert abs(g.get(b, 0.0) - r.get(b, 0.0)) <= bound, (u, name, b)
+
+
+def _assert_spinor_route(u):
+    for name in SERIES:
+        before = Counter(powers.series_paths)
+        got = series_fn(name, u)
+        assert powers.series_paths - before == Counter(spinor=1), (u, name)
+        assert got == spinor_fn(name, u), (u, name)
 
 
 def test_series_outside_the_closed_form_take_the_spinor_route():
-    # N^2 = -2 + 2 e1234 for N = e12 + e34, and a 0~2~ operand at n = 4 has
-    # blades of grades 2 and 4 in N: neither squares to a scalar
+    # the gate predicts grades {1, 4} of M = N^2 - α for grades {2, 3} at
+    # n = 4, {3, 4} for grades {1, 2}, {2, 4} for the 0~2~ operand and {4}
+    # for bivectors at n = 6, where n - 1 = 5: M^2 need not be a scalar
     s4 = Signature(4, 0)
-    for u in (ApproxMultivector(s4, {0b0011: 0.5, 0b1100: 0.25}), ApproxMultivector(s4, {0: 1.0, 0b0101: 0.5, 0b1111: -0.5})):
+    for u in (
+        ApproxMultivector(s4, {0b0011: 0.5, 0b0111: 0.25, 0b1100: -0.75}),
+        ApproxMultivector(s4, {0b0001: 0.5, 0b0110: 0.25, 0b1100: -0.75}),
+        ApproxMultivector(Signature(3, 3), {0b000011: 0.5, 0b001100: 0.25, 0b110000: -0.75}),
+        ApproxMultivector(s4, {0: 1.0, 0b0101: 0.5, 0b1111: -0.5}),
+    ):
+        assert _cross_grades(u.sig.n, frozenset(u.grades() - {0})) is None, u
+        _assert_spinor_route(u)
+
+
+def test_closed_form_gate_is_sound():
+    # for every grade set at n <= 6 that the gate admits, M = N N - <N N>_0 of
+    # an integer N has no grade outside the predicted ones, and M M is exactly
+    # a scalar
+    rng = random.Random(28)
+    for n in range(1, 7):
+        for r in range(1, n + 1):
+            for grades in itertools.combinations(range(1, n + 1), r):
+                predicted = _cross_grades(n, frozenset(grades))
+                if predicted is None:
+                    continue
+                blades = _grade_blades(n, *grades)
+                for p in range(n + 1):
+                    sig = Signature(p, n - p)
+                    for draw in range(3):
+                        chosen = blades if draw == 0 else [b for b in blades if rng.random() < 0.5]
+                        u = Multivector(sig, {b: rng.choice([-3, -2, -1, 1, 2, 3]) for b in chosen})
+                        square = u * u
+                        m = square - Multivector.scalar(sig, square.coefficient(0))
+                        assert m.grades() <= predicted, (u, m)
+                        mm = m * m
+                        assert mm == Multivector.scalar(sig, mm.coefficient(0)), (u, m)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [{0b011: 1.0, 0b101: 1.0 + d, 0b111: 0.7} for d in (1e-3, -1e-3, 1e-6, -1e-6, 1e-9, -1e-9, 1e-12, -1e-12)]
+    + [{0b011: 1.0, 0b101: math.sqrt(1.0 - e), 0b111: math.sqrt(e)} for e in (1e-2, 1e-6, 1e-10, 1e-14)],
+)
+def test_near_null_m_matches_spinor_route(coeffs):
+    # N = e12 + (1 + δ) e13 + 0.7 e123 in Cl(2,1) has M = ±1.4 e3 ± 1.4 (1 + δ) e2,
+    # so γ = 1.96 ((1 + δ)^2 - 1) ≈ 3.92 δ: split (γ > 0) and near null for
+    # δ > 0, where (C(z + √γ) - C(z - √γ)) / 2√γ cancels, and circular for δ < 0.
+    # N = e12 + √(1 - ε) e13 + √ε e123 has α ≈ 0 and γ ≈ -4ε^2 against
+    # |M| ≈ 4√ε: circular and near null, where Im S(z + i√-γ) / √-γ comes
+    # out of a complex division
+    sig = Signature(2, 1)
+    for scalar in ({}, {0: 0.4}):
+        u = ApproxMultivector(sig, {**scalar, **coeffs})
         for name in SERIES:
-            before = Counter(powers.series_paths)
-            got = series_fn(name, u)
-            assert powers.series_paths - before == Counter(spinor=1), (u, name)
-            assert got == spinor_fn(name, u), (u, name)
+            got, ref = series_fn(name, u), spinor_fn(name, u)
+            for b in set(got._dict()) | set(ref._dict()):
+                assert abs(got.coefficient(b) - ref.coefficient(b)) <= 1e-12, (u, name, b)
+
+
+def test_exactly_null_m_takes_the_spinor_route():
+    # N = e12 + e13 + 0.7 e123 in Cl(2,1): M = ±1.4 e3 ± 1.4 e2 is nonzero and
+    # squares to 1.96 (e3^2 + e2^2) = 0
+    u = ApproxMultivector(Signature(2, 1), {0b011: 1.0, 0b101: 1.0, 0b111: 0.7})
+    assert _cross_grades(3, frozenset({2, 3})) == {1}
+    _assert_spinor_route(u)
 
 
 # ---------------------------------------------------------------------------
