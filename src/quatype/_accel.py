@@ -119,10 +119,10 @@ def grade_residues(blades: np.ndarray) -> list[int]:
     return np.flatnonzero(np.bincount(np.bitwise_count(blades) & 3)).tolist()
 
 
-def doubled_part(blades: np.ndarray, values: np.ndarray, bit: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (blades, values) whose blade popcount has bit 1 equal to ``bit``, in order, values doubled."""
-    keep = np.bitwise_count(blades) & 2 == bit
-    return blades[keep], values[keep] * 2
+def select(blades: np.ndarray, values: np.ndarray, grades: int, scale: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (blades, values) whose grade is set in the bitmask ``grades``, in order, values times ``scale``."""
+    keep = (np.int64(grades) >> np.bitwise_count(blades) & 1).astype(bool)
+    return blades[keep], values[keep] * scale
 
 
 # ---------------------------------------------------------------------------

@@ -445,6 +445,35 @@ class _MultivectorBase:
             c = self._coeffs = dict(zip(blades.tolist(), values.tolist()))
         return c
 
+    def _residues(self) -> frozenset:
+        """The residues mod 4 of the grades u holds: read off its dict, else off its arrays, which a resident value builds."""
+        c = self._coeffs
+        if c is None:
+            return frozenset(_accel.grade_residues(self._int64()[0]))
+        return frozenset({b.bit_count() & 3 for b in c})
+
+    def _select(self, grades: int, scale: int = 1):
+        """``scale`` times the part of u on the grades set in the bitmask ``grades`` (bit g for grade g), in u's form and order.
+
+        An array-born or resident u stays in arrays while |scale| ‖u‖₁ < 2^62.
+        Past that, and for a dict-born u, the dict is filtered and scaled, and
+        integral Fractions become ints, as :func:`_clean` keeps them.
+        """
+        c = self._coeffs
+        if c is None:
+            blades, values, total = self._int64()
+            if abs(scale) * total < _INT64_SAFE_BOUND:
+                return _from_arrays(self.sig, *_accel.select(blades, values, grades, scale))
+            c = self._dict()
+        return self._make(
+            self.sig,
+            {
+                b: int(x) if type(x := v * scale) is Fraction and x.denominator == 1 else x
+                for b, v in c.items()
+                if grades >> b.bit_count() & 1
+            },
+        )
+
     def _int64(self):
         """The ``_arr`` slot, converting the dict, or a resident value's matrix, on the first call."""
         arr = self._arr
@@ -656,23 +685,21 @@ def grade_project(u: Multivector, k: int) -> Multivector:
     """Keep only the grade-k part of u."""
     if not 0 <= k <= u.sig.n:
         raise ValueError(f"grade {k} outside 0..{u.sig.n}")
-    return u._make(u.sig, {b: v for b, v in u._dict().items() if blade_grade(b) == k})
+    return u._select(1 << k)
 
 
 def parity_split(u: Multivector) -> tuple[Multivector, Multivector]:
     """Split into (even, odd) grade parts; the two sum back to u."""
-    even: dict = {}
-    odd: dict = {}
-    for b, v in u._dict().items():
-        (odd if blade_grade(b) & 1 else even)[b] = v
-    return u._make(u.sig, even), u._make(u.sig, odd)
+    # 0x1555 sets the even grades 0..MAX_DIMENSION
+    return u._select(0x1555), u._select(0x1555 << 1)
 
 
 def qtype_project(u: Multivector, t: int) -> Multivector:
     """Keep the grades congruent to t mod 4; the four projections sum to u."""
     if t not in (0, 1, 2, 3):
         raise ValueError(f"residue class must be 0..3, got {t}")
-    return u._make(u.sig, {b: v for b, v in u._dict().items() if blade_grade(b) % 4 == t})
+    # 0x1111 sets the grades 0, 4, 8 and 12, the residue 0 up to MAX_DIMENSION
+    return u._select(0x1111 << t)
 
 
 # ---------------------------------------------------------------------------

@@ -150,15 +150,10 @@ def _square(terms, neg_mask: int) -> float:
     return out
 
 
-def _even_odd(z: float) -> tuple[float, float]:
-    """C(z) = cosh √z and S(z) = sinh √z / √z at a real z: cos √-z and sin √-z / √-z below 0, and 1 at 0."""
-    if z > 0:
-        r = math.sqrt(z)
-        return math.cosh(r), math.sinh(r) / r
-    if z < 0:
-        r = math.sqrt(-z)
-        return math.cos(r), math.sin(r) / r
-    return 1.0, 1.0
+def _even_odd(w: complex) -> tuple[complex, complex]:
+    """C(w) = cosh √w and S(w) = sinh √w / √w by :mod:`cmath`, with S(0) = 1."""
+    r = cmath.sqrt(w)
+    return cmath.cosh(r), cmath.sinh(r) / r if r else 1.0
 
 
 def _closed_series(coeffs: dict, sig: Signature, parities: tuple[int, ...], trig: bool) -> dict | None:
@@ -172,19 +167,20 @@ def _closed_series(coeffs: dict, sig: Signature, parities: tuple[int, ...], trig
 
     With C(z) = cosh √z and S(z) = sinh √z / √z, cosh N = C(N^2) and
     sinh N = S(N^2) N; cos and sin take -N^2 = -α - M.  In span{1, M},
-    F(z + M) = F0 + F1 M, where F0 and F1 are F(z) and 0 for M = 0; the
-    mean of F(z ± √γ) and their difference over 2√γ for γ > 0; and the real
-    part of F(z + i√-γ) and its imaginary part over √-γ, by :mod:`cmath`,
-    for γ < 0.  The function of N is then (C0 + C1 M) + (S0 + S1 M) N, with
-    M N summed by the sign rule of :func:`quatype.algebra.sign_word`.  s is
-    central: exp(s + N) = e^s (cosh N + sinh N),
-    sin(s + N) = sin s cos N + cos s sin N and so on.  Exact zeros are
-    dropped.
+    F(z + M) = F0 + F1 M.  With r = √γ, complex for γ < 0, F is evaluated
+    once by :mod:`cmath` at each of z ± r: F0 is the real part of their
+    mean, and F1 that of their difference over 2r when M ≠ 0, 0 when M = 0.
+    For γ >= 0 both arguments are real, and for γ < 0 they are conjugates,
+    so F0 and F1 are the classical real forms.  The function of N is then
+    (C0 + C1 M) + (S0 + S1 M) N, with M N summed by the sign rule of
+    :func:`quatype.algebra.sign_word`.  s is central:
+    exp(s + N) = e^s (cosh N + sinh N), sin(s + N) = sin s cos N + cos s sin N
+    and so on.  Exact zeros are dropped.
 
     None is returned for a non-finite s, α or γ, an overflow in :mod:`math`
     or :mod:`cmath`, and a nonzero M with √|γ| below 1e-3 Σ|M_b|, an
-    exactly null M (γ = 0) among them: there F1, a difference quotient or
-    an imaginary part over √|γ|, would lose more than three digits.
+    exactly null M (γ = 0) among them: there F1, a difference quotient over
+    2r, would lose more than three digits.
     """
     s = coeffs.get(0, 0.0)
     terms = [(b, c) for b, c in coeffs.items() if b]
@@ -207,24 +203,21 @@ def _closed_series(coeffs: dict, sig: Signature, parities: tuple[int, ...], trig
     gamma = _square(m.items(), neg_mask)
     if not math.isfinite(gamma):
         return None
-    # F1 is a difference quotient over √|γ|, or an imaginary part over it;
-    # near a null M (exactly null included) it loses the digits √|γ| lacks against M
-    h = math.sqrt(abs(gamma))
-    if m and h < 1e-3 * sum(map(abs, m.values())):
+    # F1 is a difference quotient over 2r = 2√γ; near a null M (exactly null
+    # included) it loses the digits |r| lacks against M
+    r = cmath.sqrt(gamma)
+    if m and abs(r) < 1e-3 * sum(map(abs, m.values())):
         return None
     # the argument of C and S: N^2 for cosh and sinh, -N^2 = -α - M for cos and sin
     z = -alpha if trig else alpha
     # on finite arguments, math and cmath raise only OverflowError
     try:
-        if not m:
-            (c0, s0), c1, s1 = _even_odd(z), 0.0, 0.0
-        elif gamma > 0:
-            (cp, sp), (cm, sm) = _even_odd(z + h), _even_odd(z - h)
-            c0, c1, s0, s1 = 0.5 * cp + 0.5 * cm, (cp - cm) / (2 * h), 0.5 * sp + 0.5 * sm, (sp - sm) / (2 * h)
-        else:
-            r = cmath.sqrt(complex(z, h))
-            c, sr = cmath.cosh(r), cmath.sinh(r) / r
-            c0, c1, s0, s1 = c.real, c.imag / h, sr.real, sr.imag / h
+        # F at z ± r: two real arguments for γ >= 0, a conjugate pair for γ < 0
+        (cp, sp), (cm, sm) = _even_odd(z + r), _even_odd(z - r)
+        c0, s0 = 0.5 * cp.real + 0.5 * cm.real, 0.5 * sp.real + 0.5 * sm.real
+        c1 = s1 = 0.0
+        if m:
+            c1, s1 = ((cp - cm) / (2 * r)).real, ((sp - sm) / (2 * r)).real
         if len(parities) == 2:
             scalar_even = scalar_odd = math.exp(s)
         elif trig:
@@ -270,9 +263,10 @@ def series_fn(name: str, u: ApproxMultivector) -> ApproxMultivector:
     if not isinstance(u, ApproxMultivector):
         raise TypeError("Clifford series run on ApproxMultivector inputs")
     sig = u.sig
-    out = _closed_series(u._coeffs, sig, parities, trig)
+    coeffs = u._dict()
+    out = _closed_series(coeffs, sig, parities, trig)
     if out is None:
-        path, out = "spinor", _accel.spinor_series(u._coeffs, sig.neg_mask, sig.n, parities, trig)
+        path, out = "spinor", _accel.spinor_series(coeffs, sig.neg_mask, sig.n, parities, trig)
     else:
         path = "closed"
     series_paths[path] += 1

@@ -37,7 +37,6 @@ from itertools import combinations_with_replacement
 from random import Random
 from typing import Iterable, Sequence
 
-from . import _accel
 from .algebra import (
     ApproxMultivector,
     Multivector,
@@ -177,15 +176,18 @@ def musical_compose(a: MusicalOp, b: MusicalOp) -> MusicalOp:
 # the 16 types, keyed by their residues as a plain frozenset
 _INTERNED = {frozenset(t): t for t in (QType(r for r in range(4) if mask >> r & 1) for mask in range(16))}
 
+# s with u~ = s u for every u of a type: reversion multiplies a grade-g blade
+# by (-1)^(g(g-1)/2), which fixes the residues 0 and 1 and negates 2 and 3;
+# 0 for a type that holds both pairs
+REVERSION_SIGN = {t: 1 if t <= {0, 1} else -1 if t <= {2, 3} else 0 for t in _INTERNED.values()}
+
 
 def qtype_of(u: Multivector) -> QType:
     """Residue classes mod 4 on which u has nonzero grades; empty for u = 0.
 
     One of 16 shared :class:`QType` objects, so a classification builds none.
     """
-    if u._coeffs is None:
-        return _INTERNED[frozenset(_accel.grade_residues(u._int64()[0]))]
-    return _INTERNED[frozenset({b.bit_count() & 3 for b in u._coeffs})]
+    return _INTERNED[u._residues()]
 
 
 # relative weight below which a float coefficient counts as cancellation noise
@@ -199,7 +201,7 @@ def qtype_of_approx(u: ApproxMultivector) -> QType:
     counts only if it carries weight above float cancellation noise.  An
     infinite or NaN coefficient raises ``ValueError``: it has no type.
     """
-    coeffs = u._coeffs
+    coeffs = u._dict()
     if not all(map(math.isfinite, coeffs.values())):
         b, v = next((b, v) for b, v in coeffs.items() if not math.isfinite(v))
         raise ValueError(f"non-finite coefficient {v} on {blade_name(b)}: the float evaluation overflowed")

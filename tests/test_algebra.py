@@ -543,6 +543,16 @@ def test_array_born_values_agree_with_dict_born(n, p, seed, how_u, how_v):
         blades = [b for b, _ in X.terms()[:4]] + [rng.randrange(1 << n) for _ in range(4)]
         y = _fresh(x)
         assert [y.coefficient(b) for b in blades] == [X.coefficient(b) for b in blades]
+        # the projections of an array-born or resident value come back
+        # array-born; the resident value maps its matrix back on the first one
+        resident = algebra._resident(sig, algebra._matrix(_fresh(x)), _fresh(x)._int64()[2])
+        for make in (lambda: _fresh(x), lambda: resident):
+            pairs = [(grade_project(make(), k), grade_project(X, k)) for k in range(n + 1)]
+            pairs += [(qtype_project(make(), t), qtype_project(X, t)) for t in range(4)]
+            pairs += zip(parity_split(make()), parity_split(X))
+            for got, want in pairs:
+                assert got._coeffs is None and got == want
+                assert all(type(v) is int for v in got._dict().values())
     zero = _fresh(u) - _fresh(u)
     assert zero._coeffs is None and not zero and len(zero) == 0 and zero.max_abs() == 0
     assert str(zero) == "0" and qtype_of(zero) == qtype_of(Multivector.zero(sig)) and zero == Multivector.zero(sig)

@@ -13,7 +13,6 @@ from quatype import algebra
 from quatype.algebra import ApproxMultivector, Multivector, Signature, grade_project, random_multivector, sample_blades
 from quatype.brackets import (
     BracketTree,
-    _doubled_part,
     class_type_uniformity,
     enumerate_trees,
     eval_tree,
@@ -165,8 +164,8 @@ def _in_form(u, form):
 def test_kfold_of_signed_operands_equals_both_chains(sig, form, monkeypatch):
     # every k-fold bracket of operands that reversion fixes or negates, in
     # each form, byte-equals forward -/+ reversed multiplied out with * on
-    # dict-born (or float) copies.  Every form but a resident one runs one
-    # chain, k - 1 products.  Float operands hold small integers, so every
+    # dict-born (or float) copies.  Every form, a resident one included, runs
+    # one chain, k - 1 products.  Float operands hold small integers, so every
     # product and sum on the way is exact: 2 d Π ‖u_i‖₁ < 2^53, which at
     # n = 12 holds to k = 3
     rng = random.Random(sig.p * 13 + sig.q)
@@ -183,7 +182,7 @@ def test_kfold_of_signed_operands_equals_both_chains(sig, form, monkeypatch):
                 us = [_in_form(u, form) for u in exact]
                 monkeypatch.setattr(algebra, "product_paths", Counter())
                 w = kfold(kind, us)
-                assert sum(algebra.product_paths.values()) == (2 if form == "resident" else 1) * (k - 1)
+                assert sum(algebra.product_paths.values()) == k - 1
                 assert _typed_terms(w) == _typed_terms(_explicit_kfold(kind, refs)), (k, start, kind)
                 cases += 1
     assert cases == 2 * len(_SIGNED) * len(ks)
@@ -226,22 +225,23 @@ def test_kfold_product_count():
 
 
 def test_doubled_part_stays_in_arrays_below_the_bound():
-    # an array-born or resident forward chain is projected on its arrays,
-    # and stays array-born while twice its ℓ1 norm, 2 · 256 · scale here, is
-    # below 2^62
+    # the selector doubles an array-born or resident forward chain's part on
+    # residues {0, 1} or {2, 3} (grade bitmask 0x3333 shifted by 0 or 2) on its
+    # arrays, and it stays array-born while twice its ℓ1 norm, 2 · 256 · scale
+    # here, is below 2^62
     sig = Signature(4, 4)
     blades = np.arange(1 << sig.n, dtype=np.int64)
     for scale, born_as_arrays in ((1, True), ((1 << 53) - 1, True), (1 << 53, False)):
         values = np.where(blades & 1, -scale, scale)
         u = algebra._from_arrays(sig, blades, values)
         for bit in (0, 2):
-            w = _doubled_part(u, bit)
+            w = u._select(0x3333 << bit, 2)
             assert (w._coeffs is None) == born_as_arrays
             assert w._dict() == {b: 2 * v for b, v in zip(blades.tolist(), values.tolist()) if b.bit_count() & 2 == bit}
     u = Multivector(sig, {b: b % 7 - 3 for b in range(1 << sig.n)})
     total = u._int64()[2]
     resident = algebra._resident(sig, algebra._matrix(u), total)
-    w = _doubled_part(resident, 2)
+    w = resident._select(0x3333 << 2, 2)
     assert w._coeffs is None and w._arr is not None
     assert _typed_terms(w) == sorted((b, int, 2 * v) for b, v in u._dict().items() if b.bit_count() & 2)
 

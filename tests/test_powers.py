@@ -30,7 +30,16 @@ from quatype.powers import (
     predict_series_qtype,
     series_fn,
 )
-from quatype.qtypes import QType, qtype_of, qtype_of_approx, random_of_type, series_rule, series_type
+from quatype.qtypes import (
+    ANTICOMMUTATOR,
+    QType,
+    infer_pair,
+    qtype_of,
+    qtype_of_approx,
+    random_of_type,
+    series_rule,
+    series_type,
+)
 
 
 def ext_power_ordered_oracle(u, m):
@@ -675,6 +684,17 @@ def test_closed_form_gate_is_sound():
                         assert m.grades() <= predicted, (u, m)
                         mm = m * m
                         assert mm == Multivector.scalar(sig, mm.coefficient(0)), (u, m)
+
+
+def test_commutation_parity_is_the_anticommutator_type():
+    # _cross_grades reads that blades of grades g and h sharing j generators
+    # commute iff gh - j is even; that is exactly when their product's grade
+    # g + h - 2j lies in the paper's anticommutator type of g mod 4 and h mod 4
+    for g in range(13):
+        for h in range(13):
+            for j in range(min(g, h) + 1):
+                anti = infer_pair(ANTICOMMUTATOR, g % 4, h % 4)
+                assert (not (g * h - j) & 1) == ((g + h - 2 * j) % 4 == anti), (g, h, j)
 
 
 @pytest.mark.parametrize(

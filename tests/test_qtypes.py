@@ -16,6 +16,7 @@ from quatype.brackets import kfold
 from quatype.qtypes import (
     ANTICOMMUTATOR,
     COMMUTATOR,
+    REVERSION_SIGN,
     InfeasibleDeclarationError,
     MusicalOp,
     QType,
@@ -77,18 +78,26 @@ def test_qtype_of_examples():
 
 def test_qtype_of_returns_interned_types():
     # one shared QType per residue set, equal to the one a caller builds,
-    # from dict-born and array-born values alike
+    # from dict-born, array-born, resident and float values alike.  Its
+    # REVERSION_SIGN is the s with u~ = s u, u~ taken blade by blade with the
+    # sign (-1)^(g(g-1)/2), and 0 when there is no such s
     from quatype import algebra
 
     sig = Signature(4, 0)
     for members in itertools.chain.from_iterable(itertools.combinations(range(4), r) for r in range(5)):
         coeffs = {b: 1 for r in members for b in blades_of_grades(4, (r,))}
+        reversed_ = {b: -v if b.bit_count() * (b.bit_count() - 1) // 2 & 1 else v for b, v in coeffs.items()}
+        signs = [s for s in (1, -1) if reversed_ == {b: s * v for b, v in coeffs.items()}]
         u = Multivector(sig, coeffs)
-        arrays = algebra._from_arrays(sig, *u._int64()[:2])
-        for value in (u, arrays):
+        blades, values, total = u._int64()
+        arrays = algebra._from_arrays(sig, blades, values)
+        resident = algebra._resident(sig, algebra._matrix(arrays), total)
+        for value in (u, arrays, resident, ApproxMultivector.from_exact(u)):
             got = qtype_of(value)
             assert type(got) is QType and got == QType(members) and got.render() == QType(members).render()
             assert got is qtype_of(value)
+            s = REVERSION_SIGN[got]
+            assert s in signs if s else not signs, (members, s, signs)
         assert qtype_of(arrays) is qtype_of(u)
 
 
