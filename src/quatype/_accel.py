@@ -448,43 +448,32 @@ def draw(rng, blade_groups: tuple, lo: int, hi: int, width: int, k: int) -> tupl
 
 
 def _draw_group(rng, blades: tuple[int, ...], lo: int, hi: int, width: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """One nonempty group of the draw: its nonzero (blades, values) in order.
+    """One nonempty group of the draw, k <= 8: its nonzero (blades, values) in order.
 
     ``getrandbits(32 m)`` is m successive 32-bit Mersenne Twister words,
     least significant first (Matsumoto and Nishimura, ACM TOMACS 8, 1998),
-    and ``getrandbits(k)`` for k <= 32 is one word shifted right by 32 - k.
-    Each chunk holds exactly the count of blades still without a value, and
-    chunks are drawn down to the last word, so the draw takes the words the
-    per-blade loop takes, in the same order, and leaves the generator in the
-    same state.  An all-zero draw is patched by
+    and ``getrandbits(k)`` for k <= 32 is one word shifted right by 32 - k:
+    for k <= 8, the word's top byte shifted right by 8 - k, so only the top
+    bytes are kept.  Each chunk holds exactly the count of blades still
+    without a value, and chunks are drawn down to the last word, so the draw
+    takes the words the per-blade loop takes, in the same order, and leaves
+    the generator in the same state.  An all-zero draw is patched by
     :func:`quatype.algebra._patch_zero_group`, as the per-blade loop patches it.
     """
-    # a word w is accepted when w >> (32 - k) < width, that is when w <= top
-    top = (width << (32 - k)) - 1
-    if k <= 8:
-        # the low 24 bits of top are all ones, so a word is accepted exactly
-        # when its top byte is at most top >> 24; the table maps such a byte
-        # to 0, and counting zeros takes no array: a chunk of a few words
-        # costs a fraction of a numpy call
-        table = bytes((top >> 24) + 1).ljust(256, b"\x01")
-
-        def accepted(chunk: bytes) -> int:
-            return chunk[3::4].translate(table).count(0)
-
-    else:
-
-        def accepted(chunk: bytes) -> int:
-            return np.count_nonzero(np.frombuffer(chunk, "<u4") <= top)
-
+    # a top byte t is accepted when t >> (8 - k) < width, that is when t <= top;
+    # the table maps an accepted byte to 0, and counting zeros takes no array:
+    # a chunk of a few words costs a fraction of a numpy call
+    top = (width << (8 - k)) - 1
+    table = bytes(top + 1).ljust(256, b"\x01")
     getrandbits = rng.getrandbits
     chunks = []
     need = len(blades)
     while need:
-        chunk = getrandbits(need << 5).to_bytes(need << 2, "little")
+        chunk = getrandbits(need << 5).to_bytes(need << 2, "little")[3::4]
         chunks.append(chunk)
-        need -= accepted(chunk)
-    words = np.frombuffer(b"".join(chunks), "<u4")
-    values = (words[words <= top] >> (32 - k)).astype(np.int64) + lo
+        need -= chunk.translate(table).count(0)
+    t = np.frombuffer(b"".join(chunks), np.uint8)
+    values = (t[t <= top] >> (8 - k)).astype(np.int64) + lo
     keep = values != 0
     if keep.any():
         return _group_array(blades)[keep], values[keep]

@@ -9,14 +9,14 @@ identities proved over the rationals can be asserted with ``==``.
 share one class body and differ only in their coefficient domain.
 
 All values are immutable after construction and every operation is a pure
-function.  Validation happens at the public boundary only: ``__init__``,
-:func:`from_obj`, ``Multivector.from_exact`` and multiplication by a scalar
-check every blade and coefficient.  Arithmetic results, projections, the
-typed samplers and the float copy of an exact value
-(``ApproxMultivector.from_exact``) are built by the trusted ``_make`` and
-keep two invariants without re-checking: no coefficient is zero, and every
-integral exact coefficient is an ``int`` (so the next product can take the
-int64 kernel).
+function.  Validation happens at the public boundary only: ``__init__`` and
+:func:`from_obj` check every blade and coefficient, and ``from_exact`` and
+multiplication by a scalar convert every coefficient into the class's
+domain; a value too large for a float raises ``ValueError`` there.
+Arithmetic results, projections, the typed samplers and ``from_exact``
+are built by the trusted ``_make`` and keep two invariants without
+re-checking: no coefficient is zero, and every integral exact coefficient
+is an ``int`` (so the next product can take the int64 kernel).
 
 An exact value holds its coefficients in one of three forms.  A *dict-born*
 value keeps the dict, and caches its arrays the first time a dense product
@@ -168,6 +168,7 @@ def blade_bits(indices: Iterable[int]) -> int:
     return bits
 
 
+@lru_cache(maxsize=1 << MAX_DIMENSION)
 def blade_indices(bits: int) -> tuple[int, ...]:
     """Sorted 1-based generator indices of a blade bit set."""
     return tuple(i + 1 for i in range(bits.bit_length()) if bits >> i & 1)
@@ -177,6 +178,7 @@ def blade_grade(bits: int) -> int:
     return bits.bit_count()
 
 
+@lru_cache(maxsize=1 << MAX_DIMENSION)
 def blade_name(bits: int) -> str:
     """Canonical display name: ``e`` for the identity, ``e12`` for e^1 e^2.
 
@@ -248,6 +250,15 @@ def _as_coeff(value) -> Coeff:
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else value
     raise TypeError(f"exact coefficients must be int or Fraction, got {type(value).__name__}")
+
+
+def _too_large(values) -> ValueError:
+    """The error naming the first of ``values`` that is too large for a float."""
+    for v in values:
+        try:
+            float(v)
+        except OverflowError:
+            return ValueError(f"{v} is too large for a float")
 
 
 def _clean(coeffs: dict) -> dict:
@@ -419,11 +430,14 @@ class _MultivectorBase:
         coerce = self._coeff
         limit = 1 << sig.n
         acc: dict = {}
-        for blade, value in items:
-            blade = operator.index(blade)
-            if not 0 <= blade < limit:
-                raise ValueError(f"blade {blade} outside {sig}")
-            acc[blade] = acc.get(blade, 0) + coerce(value)
+        try:
+            for blade, value in items:
+                blade = operator.index(blade)
+                if not 0 <= blade < limit:
+                    raise ValueError(f"blade {blade} outside {sig}")
+                acc[blade] = acc.get(blade, 0) + coerce(value)
+        except OverflowError:
+            raise _too_large((value,)) from None
         self.sig = sig
         self._coeffs = {k: coerce(v) for k, v in acc.items() if v}
         self._arr = self._spin = None
@@ -503,8 +517,15 @@ class _MultivectorBase:
 
     @classmethod
     def from_exact(cls, u: "Multivector"):
-        """The exact multivector u in this class's coefficient domain."""
-        return u if type(u) is cls else cls(u.sig, u._dict())
+        """The exact multivector u in this class's coefficient domain, dropping coefficients that convert to zero."""
+        if type(u) is cls:
+            return u
+        coerce, c = cls._coeff, u._dict()
+        try:
+            # u's dict already keeps the blades in range and holds no zero
+            return cls._make(u.sig, {b: x for b, v in c.items() if (x := coerce(v))})
+        except OverflowError:
+            raise _too_large(c.values()) from None
 
     # -- inspection --------------------------------------------------------
 
@@ -587,7 +608,10 @@ class _MultivectorBase:
             self._require_same_sig(other)
             return _product(self, other, False)
         if isinstance(other, self._scalar_types):
-            f = self._coeff(other)
+            try:
+                f = self._coeff(other)
+            except OverflowError:
+                raise _too_large((other,)) from None
             return self._make(self.sig, _clean({b: v * f for b, v in (self._coeffs or self._dict()).items()}))
         return NotImplemented
 
@@ -662,14 +686,6 @@ class ApproxMultivector(_MultivectorBase):
     _scalar_types = (int, float, Fraction)
     _approx = True
 
-    @classmethod
-    def from_exact(cls, u: "Multivector"):
-        """The exact multivector u with float coefficients, dropping those that round to 0.0."""
-        if type(u) is cls:
-            return u
-        # u's dict already keeps the blades in range and holds no zero
-        return cls._make(u.sig, {b: f for b, v in u._dict().items() if (f := float(v))})
-
 
 def geo_mul(u: Multivector, v: Multivector) -> Multivector:
     """Geometric (Clifford) product."""
@@ -728,20 +744,21 @@ def sample_blades(
     3.10-3.13, inlined: the same values and the same state afterwards.
     Raises ``ValueError`` when ``lo > hi``.
 
-    A draw of at least ``_CHUNKED_DRAW_MIN_BLADES`` blades with k <= 32
-    and max(|lo|, |hi|) 2^n < 2^62, which keeps its ℓ1 norm below 2^62,
-    takes its words in chunks (:func:`quatype._accel.draw`) and is
-    array-born: each chunk is one ``getrandbits`` call for exactly the words
-    its group still needs, and chunks are drawn down to the last word.
-    Either way the values and the generator's state afterwards are the
-    same, and an all-zero group is patched by :func:`_patch_zero_group`.
+    A draw of at least ``_CHUNKED_DRAW_MIN_BLADES`` blades with k <= 8,
+    so that one byte of each word decides it, and max(|lo|, |hi|) 2^n <
+    2^62, which keeps its ℓ1 norm below 2^62, takes its words in chunks
+    (:func:`quatype._accel.draw`) and is array-born: each chunk is one
+    ``getrandbits`` call for exactly the words its group still needs, and
+    chunks are drawn down to the last word.  Wider draws take the per-blade
+    loop.  Either way the values and the generator's state afterwards are
+    the same, and an all-zero group is patched by :func:`_patch_zero_group`.
     """
     width = hi - lo + 1
     if width <= 0:
         raise ValueError(f"empty range for a coefficient draw: [{lo}, {hi}]")
     k = width.bit_length()
     # only an algebra of that many blades can hold a draw that large
-    if 1 << sig.n >= _CHUNKED_DRAW_MIN_BLADES and k <= 32 and max(-lo, hi) << sig.n < _INT64_SAFE_BOUND:
+    if 1 << sig.n >= _CHUNKED_DRAW_MIN_BLADES and k <= 8 and max(-lo, hi) << sig.n < _INT64_SAFE_BOUND:
         blade_groups = tuple(blade_groups)
         if sum(map(len, blade_groups)) >= _CHUNKED_DRAW_MIN_BLADES:
             return _from_arrays(sig, *_accel.draw(rng, blade_groups, lo, hi, width, k))

@@ -1,7 +1,9 @@
 """Command-line front door: evaluate, infer, check, and emit the type tables.
 
 Exit codes: 0 on success, 1 when a check finds a containment failure,
-2 on usage, parse, binding, or declaration errors.
+2 on usage, parse, binding, or declaration errors, on a value too large
+for a float, and on an expression nested too deeply for the recursive
+evaluator.
 """
 
 from __future__ import annotations
@@ -197,10 +199,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except RecursionError:
+        message = "expression nested too deeply"
     except (CliError, KeyError, ValueError) as exc:
         message = exc.args[0] if exc.args else str(exc)
-        print(f"error: {message}", file=sys.stderr)
-        return _USAGE_ERROR
+    print(f"error: {message}", file=sys.stderr)
+    return _USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -638,20 +638,22 @@ def check(e: Expr | str, sig: Signature, trials: int = 100, seed: int = 0) -> Ch
     whose draw comes out all zero is patched at one random blade.  A sample
     of 256 blades or more takes its 32-bit words in chunks, each one
     ``getrandbits`` call for exactly the words still needed, down to the
-    last word, with the same values and the same generator state afterwards
-    as the per-blade draw.
+    last word, and reads ``getrandbits(5)`` off each word's top byte,
+    shifted right by 3, with the same values and the same generator state
+    afterwards as the per-blade draw.
 
     The plan is made once per call: every declaration is resolved, the
     expression compiles into the program that :func:`evaluate` runs, and
     the domain is chosen.  A declaration with an empty blade group (a rank
     outside 0..n, a residue above n) raises
     :class:`InfeasibleDeclarationError` naming the first such variable in
-    name order, before trial 0.  Each trial then evaluates exactly, or in
-    floats when Clifford series are involved, classifies the value by
-    :func:`classify`, and records any containment violation.  A trial whose
-    evaluation raises ``ValueError`` (an overflow to a non-finite
-    coefficient, say) aborts the check with the error prefixed by
-    ``trial i (seed s): ``.
+    name order, before trial 0, and a scalar literal too large for a float
+    in a float evaluation raises ``ValueError`` naming it.  Each trial then
+    evaluates exactly, or in floats when Clifford series are involved,
+    classifies the value by :func:`classify`, and records any containment
+    violation.  A trial whose evaluation raises ``ValueError`` (an overflow
+    to a non-finite coefficient, say) aborts the check with the error
+    prefixed by ``trial i (seed s): ``.
     """
     if isinstance(e, str):
         e = parse(e)
@@ -669,6 +671,7 @@ def check(e: Expr | str, sig: Signature, trials: int = 100, seed: int = 0) -> Ch
         except InfeasibleDeclarationError as exc:
             exc.args = (f"{exc} (variable {name!r})", *exc.args[1:])
             raise
+        # one sampler under two names, so a wrapper installed on either sees its own calls
         draws.append((random_of_type if var.rank is None else random_of_rank, declaration))
     cls = _domain(e)
     approx = cls is ApproxMultivector

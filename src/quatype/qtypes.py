@@ -199,14 +199,15 @@ def qtype_of_approx(u: ApproxMultivector) -> QType:
 
     The threshold scales with the largest coefficient present, so a residue
     counts only if it carries weight above float cancellation noise.  An
-    infinite or NaN coefficient raises ``ValueError``: it has no type.
+    infinite or NaN coefficient raises ``ValueError``: it has no type.  One
+    of the 16 shared :class:`QType` objects, as :func:`qtype_of` returns.
     """
     coeffs = u._dict()
     if not all(map(math.isfinite, coeffs.values())):
         b, v = next((b, v) for b, v in coeffs.items() if not math.isfinite(v))
         raise ValueError(f"non-finite coefficient {v} on {blade_name(b)}: the float evaluation overflowed")
     thresh = _APPROX_TOL * max(1.0, u.max_abs())
-    return QType({b.bit_count() & 3 for b, v in coeffs.items() if abs(v) > thresh})
+    return _INTERNED[frozenset({b.bit_count() & 3 for b, v in coeffs.items() if abs(v) > thresh})]
 
 
 # ---------------------------------------------------------------------------
@@ -396,23 +397,20 @@ def klein_table() -> list[list[MusicalOp]]:
 # typed random sampling
 
 
-def random_of_type(sig: Signature, rng: Random, members: QType) -> Multivector:
-    """Random multivector of the given type, nonzero in every member residue.
+def random_of_type(sig: Signature, rng: Random, declaration: QType | int) -> Multivector:
+    """Random multivector of a declared type or rank, nonzero in every member residue.
 
-    Each member residue, in ascending order, is one group of
+    A type draws each member residue, in ascending order, as one group of
     :func:`~quatype.algebra.sample_blades`: its blades by grade, then by bit
-    order.  Raises :class:`InfeasibleDeclarationError` when some member
-    residue has no blade in ``sig``.
+    order.  A rank (an ``int``) draws the blades of that grade, in bit
+    order, as one group.  Raises :class:`InfeasibleDeclarationError` when
+    some group has no blade in ``sig``.
     """
-    return sample_blades(sig, rng, _declared_blade_groups(sig, members))
+    return sample_blades(sig, rng, _declared_blade_groups(sig, declaration))
 
 
-def random_of_rank(sig: Signature, rng: Random, rank: int) -> Multivector:
-    """Random nonzero homogeneous multivector of the given grade: one group, its blades in bit order.
-
-    Raises :class:`InfeasibleDeclarationError` when ``sig`` has no blade of that grade.
-    """
-    return sample_blades(sig, rng, _declared_blade_groups(sig, rank))
+# one sampler: _declared_blade_groups tells a rank from a type
+random_of_rank = random_of_type
 
 
 @lru_cache(maxsize=None)

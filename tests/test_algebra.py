@@ -377,6 +377,22 @@ def test_approx_from_exact_equals_validating_construction():
         Multivector.from_exact(got)
 
 
+@pytest.mark.parametrize("huge", [10**400, Fraction(-(10**400), 3)], ids=["int", "Fraction"])
+def test_approx_rejects_values_too_large_for_a_float(huge):
+    # the constructor, from_exact and scaling name the value in a ValueError,
+    # where float() alone raises OverflowError
+    sig = Signature(2, 0)
+    for make in (
+        lambda: ApproxMultivector(sig, {0b01: 1, 0b11: huge}),
+        lambda: ApproxMultivector.from_exact(Multivector(sig, {0b01: 1, 0b11: huge})),
+        lambda: ApproxMultivector.scalar(sig, 2.0) * huge,
+        lambda: huge * ApproxMultivector.scalar(sig, 2.0),
+    ):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == f"{huge} is too large for a float"
+
+
 def _assert_canonical(u):
     for _, v in u.terms():
         assert v != 0

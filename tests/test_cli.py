@@ -223,6 +223,38 @@ def test_trial_error_names_its_seed(sig, expr):
     assert "(seed " in proc.stderr
 
 
+_HUGE = str(10**400)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--sig", "2,0", "--trials", "2", f"{_HUGE} * exp(U:1)"],
+        ["check", "--sig", "2,0", "--trials", "2", f"exp({_HUGE} * U:1)"],
+        ["eval", "--sig", "2,0", "--bindings", "BINDINGS", "exp(U)"],
+    ],
+    ids=["check-scalar", "check-series-operand", "eval-binding"],
+)
+def test_exit_code_value_too_large_for_a_float(argv, tmp_path):
+    # infer accepts these; the float evaluation cannot hold 10^400, and that is
+    # a usage error naming the value, not a traceback
+    path = tmp_path / "huge.json"
+    path.write_text(f'{{"U": {{"sig": [2, 0], "terms": [{{"blade": [1], "num": {_HUGE}, "den": 1}}]}}}}')
+    proc = run_cli(*[str(path) if a == "BINDINGS" else a for a in argv])
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {_HUGE} is too large for a float\n"
+
+
+@pytest.mark.parametrize("terms, code", [(300, 0), (1200, 2)])
+def test_exit_code_expression_nested_too_deeply(terms, code):
+    # a left-nested chain deeper than the recursive evaluators reach is a usage error
+    expr = " + ".join(["U:1"] + ["U"] * (terms - 1))
+    for argv in (["infer", expr], ["check", "--sig", "2,0", "--trials", "2", expr]):
+        proc = run_cli(*argv)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr == ("error: expression nested too deeply\n" if code else "")
+
+
 def test_series_of_large_bracket_passes():
     # the bracket reaches coefficients in the hundreds; the series must not abort
     proc = run_cli("check", "--sig", "4,1", "cosh([U:1,V:2])")

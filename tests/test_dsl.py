@@ -425,9 +425,9 @@ def test_check_infeasible_declarations():
     for n in range(1, 13):
         for p in range(n + 1):
             sig = Signature(p, n - p)
-            declarations = [(t, t.render(), max(t, default=0) <= n, random_of_type) for t in ALL_TYPES]
-            declarations += [(r, f"#{r}", 0 <= r <= n, random_of_rank) for r in range(-1, n + 2)]
-            for decl, text, feasible, draw in declarations:
+            declarations = [(t, t.render(), max(t, default=0) <= n, random_of_type, "type") for t in ALL_TYPES]
+            declarations += [(r, f"#{r}", 0 <= r <= n, random_of_rank, "rank") for r in range(-1, n + 2)]
+            for decl, text, feasible, draw, kind in declarations:
                 if feasible:
                     draw(sig, rng, decl)
                     continue
@@ -437,7 +437,7 @@ def test_check_infeasible_declarations():
                     continue  # '#-1' does not parse
                 with pytest.raises(InfeasibleDeclarationError) as info:
                     check(f"[A:0~, U:{text}]", sig, trials=1)
-                what = f"rank {decl}" if draw is random_of_rank else f"type {text}"
+                what = f"rank {decl}" if kind == "rank" else f"type {text}"
                 assert str(info.value) == f"{what} is infeasible in {sig} (variable 'U')"
 
 

@@ -78,9 +78,9 @@ def test_qtype_of_examples():
 
 def test_qtype_of_returns_interned_types():
     # one shared QType per residue set, equal to the one a caller builds,
-    # from dict-born, array-born, resident and float values alike.  Its
-    # REVERSION_SIGN is the s with u~ = s u, u~ taken blade by blade with the
-    # sign (-1)^(g(g-1)/2), and 0 when there is no such s
+    # from dict-born, array-born, resident and float values alike, and from
+    # qtype_of_approx.  Its REVERSION_SIGN is the s with u~ = s u, u~ taken
+    # blade by blade with the sign (-1)^(g(g-1)/2), and 0 when there is no such s
     from quatype import algebra
 
     sig = Signature(4, 0)
@@ -92,7 +92,9 @@ def test_qtype_of_returns_interned_types():
         blades, values, total = u._int64()
         arrays = algebra._from_arrays(sig, blades, values)
         resident = algebra._resident(sig, algebra._matrix(arrays), total)
-        for value in (u, arrays, resident, ApproxMultivector.from_exact(u)):
+        approx = ApproxMultivector.from_exact(u)
+        assert qtype_of_approx(approx) is qtype_of(u)
+        for value in (u, arrays, resident, approx):
             got = qtype_of(value)
             assert type(got) is QType and got == QType(members) and got.render() == QType(members).render()
             assert got is qtype_of(value)
@@ -489,13 +491,15 @@ def _randint_draw(rng, blade_groups, lo, hi):
 _CL31_ALL = (blades_of_grades(4, (0, 1, 2, 3, 4)),)
 _CL12_ALL = (blades_of_grades(12, tuple(range(13))),)
 _CL12 = Signature(12, 0)
-# 2^50 2^12 = 2^62, the bound on the ℓ1 norm of an array-born value; a draw of width 2^20 takes 21-bit words
-_EDGE, _SPAN = 1 << 50, 1 << 20
+# 2^50 2^12 = 2^62, the bound on the ℓ1 norm of an array-born value; a draw
+# of width 2^20 takes 21-bit words, one of width 255 takes 8-bit words
+_EDGE, _SPAN, _BYTE = 1 << 50, 1 << 20, 255
 _CL8 = Signature(8, 0)
 _CL8_ALL = blades_of_grades(8, tuple(range(9)))
 # a group of m blades beside the other 256 - m of Cl(8,0): 256 blades in all,
-# so the draw is chunked, and each group's chunks run down to a single word;
-# [-300, 300] takes 10-bit words, whose top byte does not decide alone
+# so a draw of at most 8-bit words is chunked, and each group's chunks run
+# down to a single word; [-300, 300] takes 10-bit words, whose top byte does
+# not decide alone, so that draw takes the per-blade loop
 _CL8_SPLITS = [
     ((_CL8_ALL[:m], _CL8_ALL[m:]), lo, hi) for m in (1, 2, 31, 32, 33) for lo, hi in ((-9, 9), (0, 0), (-300, 300))
 ]
@@ -535,11 +539,20 @@ _CL8_SPLITS = [
         # a word of more than 32 bits is not one Mersenne Twister output
         (lambda rng: random_multivector(_CL12, rng, lo=-(1 << 32), hi=1 << 32), _CL12_ALL, -(1 << 32), 1 << 32, False),
         # max(|lo|, |hi|) 2^12 just under 2^62 keeps the ℓ1 norm in int64; at 2^62 the draw is dict-born
-        (lambda rng: random_multivector(_CL12, rng, lo=_EDGE - _SPAN, hi=_EDGE - 1), _CL12_ALL, _EDGE - _SPAN, _EDGE - 1, True),
+        (lambda rng: random_multivector(_CL12, rng, lo=_EDGE - _BYTE, hi=_EDGE - 1), _CL12_ALL, _EDGE - _BYTE, _EDGE - 1, True),
+        (lambda rng: random_multivector(_CL12, rng, lo=_EDGE - _BYTE + 1, hi=_EDGE), _CL12_ALL, _EDGE - _BYTE + 1, _EDGE, False),
+        # words wider than 8 bits take the per-blade loop whatever the ℓ1 norm
+        (lambda rng: random_multivector(_CL12, rng, lo=_EDGE - _SPAN, hi=_EDGE - 1), _CL12_ALL, _EDGE - _SPAN, _EDGE - 1, False),
         (lambda rng: random_multivector(_CL12, rng, lo=_EDGE - _SPAN + 1, hi=_EDGE), _CL12_ALL, _EDGE - _SPAN + 1, _EDGE, False),
         (lambda rng: random_multivector(_CL12, rng, lo=-_EDGE, hi=_SPAN - _EDGE), _CL12_ALL, -_EDGE, _SPAN - _EDGE, False),
         *[
-            (lambda rng, groups=groups, lo=lo, hi=hi: sample_blades(_CL8, rng, groups, lo, hi), groups, lo, hi, True)
+            (
+                lambda rng, groups=groups, lo=lo, hi=hi: sample_blades(_CL8, rng, groups, lo, hi),
+                groups,
+                lo,
+                hi,
+                (lo, hi) != (-300, 300),
+            )
             for groups, lo, hi in _CL8_SPLITS
         ],
     ],
@@ -553,6 +566,8 @@ _CL8_SPLITS = [
         "Cl(12,0)-type-4-groups",
         "Cl(12,0)-range0..0-patched",
         "Cl(12,0)-range-past-32-bits",
+        "Cl(12,0)-8-bit-l1-under-2^62",
+        "Cl(12,0)-8-bit-l1-at-2^62",
         "Cl(12,0)-l1-under-2^62",
         "Cl(12,0)-l1-at-2^62",
         "Cl(12,0)-negative-l1-at-2^62",
@@ -561,7 +576,7 @@ _CL8_SPLITS = [
 )
 def test_sampler_draws_as_randint(draw, groups, lo, hi, chunked):
     # the same terms in the same order, and the same generator state
-    # afterwards, as randint; large draws with at most 32-bit words are chunked
+    # afterwards, as randint; large draws with at most 8-bit words are chunked
     for seed in range(500):
         rng, oracle = random.Random(seed), random.Random(seed)
         u = draw(rng)
